@@ -103,7 +103,8 @@ pub struct ProfileReport {
 pub struct LoadReport {
     /// Schema tag ([`SCHEMA`]).
     pub schema: String,
-    /// Runner class that produced the latencies (see [`runner_id`]).
+    /// Runner class that produced the latencies (see
+    /// [`fpga_rt_obs::artifact_runner`]).
     pub runner: String,
     /// The run's stream-defining parameters.
     pub budget: Budget,

@@ -22,14 +22,14 @@ use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use fpga_rt_model::{Fpga, TaskHandle};
-use fpga_rt_obs::{Obs, Registry, Snapshot};
+use fpga_rt_obs::{artifact_runner, Obs, Registry, Snapshot};
 use fpga_rt_pool::{PoolConfig, ShardedPool};
 use fpga_rt_service::protocol::counters as cache_counters;
 use fpga_rt_service::{session_shard, AdmissionController, ControllerConfig, QueryStats};
 
 use crate::hist::LatencyHistogram;
 use crate::profile::{synthesize, ArrivalProfile, LoadSpec, OpKind};
-use crate::report::{runner_id, Budget, LatencySummary, LoadReport, ProfileReport, SCHEMA};
+use crate::report::{Budget, LatencySummary, LoadReport, ProfileReport, SCHEMA};
 
 /// Parameters of one `fpga-rt loadgen` run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -367,7 +367,7 @@ pub fn run_with_obs(
     }
     let report = LoadReport {
         schema: SCHEMA.to_string(),
-        runner: runner_id(),
+        runner: artifact_runner(config.deterministic),
         budget: config.budget(),
         profiles: reports,
     };
@@ -439,7 +439,7 @@ pub fn run_soak_with_obs(
     }
     let report = LoadReport {
         schema: SCHEMA.to_string(),
-        runner: runner_id(),
+        runner: artifact_runner(config.deterministic),
         budget: config.budget(),
         profiles: reports,
     };

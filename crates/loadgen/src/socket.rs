@@ -157,9 +157,11 @@ fn drive_conn(
         hist: LatencyHistogram::new(),
     };
     let session = format!("c{index}");
-    for (seq, line) in script(index, config.requests).into_iter().enumerate() {
+    for (seq, mut line) in script(index, config.requests).into_iter().enumerate() {
+        // The framed line goes out in one write: a separate one-byte `\n`
+        // segment would wait for the server's delayed ACK under Nagle.
+        line.push('\n');
         writer.write_all(line.as_bytes()).map_err(|e| format!("conn {index} send: {e}"))?;
-        writer.write_all(b"\n").map_err(|e| format!("conn {index} send: {e}"))?;
         writer.flush().map_err(|e| format!("conn {index} send: {e}"))?;
         outcome.sent += 1;
         let start = Instant::now();

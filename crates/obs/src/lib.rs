@@ -45,6 +45,11 @@ pub use hist::LatencyHistogram;
 /// `scripts/bench_gate.py`).
 pub const SCHEMA: &str = "fpga-rt-obs/1";
 
+/// The runner class deterministic artifacts record in place of
+/// [`runner_id`]: their time values are zeroed, so nothing in them depends
+/// on the host, and a constant keeps them byte-identical across hosts too.
+pub const DETERMINISTIC_RUNNER: &str = "deterministic";
+
 /// The runner class recorded in snapshots and reports: the
 /// `FPGA_RT_RUNNER` environment override when set, else
 /// `{os}-{kernel release}-{arch}` (falling back to `{os}-{arch}` where the
@@ -62,6 +67,16 @@ pub fn runner_id() -> String {
     match kernel {
         Some(k) => format!("{}-{}-{}", std::env::consts::OS, k, std::env::consts::ARCH),
         None => format!("{}-{}", std::env::consts::OS, std::env::consts::ARCH),
+    }
+}
+
+/// The runner class an artifact records: [`DETERMINISTIC_RUNNER`] when it
+/// was produced in deterministic mode, else [`runner_id`].
+pub fn artifact_runner(deterministic: bool) -> String {
+    if deterministic {
+        DETERMINISTIC_RUNNER.to_string()
+    } else {
+        runner_id()
     }
 }
 
@@ -190,7 +205,7 @@ impl Registry {
         let inner = self.lock();
         Snapshot {
             schema: SCHEMA.to_string(),
-            runner: runner_id(),
+            runner: artifact_runner(self.deterministic),
             deterministic: self.deterministic,
             meta: inner
                 .meta
@@ -402,7 +417,7 @@ impl HistRow {
 pub struct Snapshot {
     /// Schema tag ([`SCHEMA`]).
     pub schema: String,
-    /// Runner class that produced the samples (see [`runner_id`]).
+    /// Runner class that produced the samples (see [`artifact_runner`]).
     pub runner: String,
     /// Whether time-valued samples were zeroed at the recording site.
     pub deterministic: bool,
@@ -595,7 +610,18 @@ mod tests {
         let text = snap.render_text();
         assert!(text.starts_with("fpga-rt-obs/1 snapshot"));
         assert!(text.contains("admission/decisions"));
-        assert!(!text.contains(&snap.runner), "text artifact must be host-independent");
+        // Only a live snapshot carries the host's runner id.
+        let live = populated(false).snapshot();
+        assert!(
+            !live.render_text().contains(&live.runner),
+            "text artifact must be host-independent"
+        );
+    }
+
+    #[test]
+    fn deterministic_snapshots_record_a_host_independent_runner() {
+        assert_eq!(populated(true).snapshot().runner, DETERMINISTIC_RUNNER);
+        assert_eq!(populated(false).snapshot().runner, runner_id());
     }
 
     #[test]

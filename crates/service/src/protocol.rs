@@ -57,6 +57,18 @@
 //! Responses are built through [`Response::ok`] / [`Response::fail`] —
 //! every construction path goes through the builder, so a new field cannot
 //! be forgotten on any of them.
+//!
+//! ## Codec
+//!
+//! [`parse_request`] and [`render_response`] run once per line on the
+//! service's main thread, so the common lines skip the `serde` `Value`
+//! tree: a single-pass scanner decodes well-formed lines of the known
+//! shapes, and a fixed-order writer renders every response (see
+//! `docs/PROTOCOL.md` for the encoding it guarantees). Any line the
+//! scanner does not fully recognise is re-parsed through the `Value` tree,
+//! whose parser words every protocol error.
+
+mod codec;
 
 use fpga_rt_model::{ModelError, Task};
 use fpga_rt_obs::{Registry, Snapshot};
@@ -515,44 +527,6 @@ pub struct Response {
     pub snapshot: Option<SessionSnapshot>,
 }
 
-// Hand-written so the three v2 keys are *omitted* (not `null`) when
-// absent: the 17 legacy fields serialize exactly as the old derive did,
-// which is what keeps the recorded v1 golden transcripts byte-identical.
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = vec![
-            ("id".to_string(), self.id.to_value()),
-            ("seq".to_string(), self.seq.to_value()),
-            ("op".to_string(), self.op.to_value()),
-            ("shard".to_string(), self.shard.to_value()),
-            ("ok".to_string(), self.ok.to_value()),
-            ("verdict".to_string(), self.verdict.to_value()),
-            ("tier".to_string(), self.tier.to_value()),
-            ("handle".to_string(), self.handle.to_value()),
-            ("tasks".to_string(), self.tasks.to_value()),
-            ("ut".to_string(), self.ut.to_value()),
-            ("us".to_string(), self.us.to_value()),
-            ("margin".to_string(), self.margin.to_value()),
-            ("margins".to_string(), self.margins.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-            ("obs".to_string(), self.obs.to_value()),
-            ("reason".to_string(), self.reason.to_value()),
-            ("error".to_string(), self.error.to_value()),
-            ("latency_us".to_string(), self.latency_us.to_value()),
-        ];
-        if let Some(session) = &self.session {
-            entries.push(("session".to_string(), session.to_value()));
-        }
-        if let Some(lifecycle) = &self.lifecycle {
-            entries.push(("lifecycle".to_string(), lifecycle.to_value()));
-        }
-        if let Some(snapshot) = &self.snapshot {
-            entries.push(("snapshot".to_string(), snapshot.to_value()));
-        }
-        Value::Map(entries)
-    }
-}
-
 impl Response {
     /// Start building a successful response for an op at a sequence
     /// number. Chain setters, then [`ResponseBuilder::build`].
@@ -727,7 +701,17 @@ struct V1Request {
 
 /// Parse one JSONL request line: v2 (strict, session-framed) when a
 /// `session` key is present, the lenient v1 shim otherwise.
+///
+/// A well-formed line of a known shape is decoded by the single-pass
+/// scanner; every other line, including every line that is an error, is
+/// re-parsed through the `Value` tree. Both paths give the same result.
 pub fn parse_request(line: &str) -> Result<Request, RequestError> {
+    codec::scan_request(line).map_or_else(|| parse_request_value(line), Ok)
+}
+
+/// The `Value`-tree request parser: the reference the scanner must agree
+/// with, and the one implementation of every protocol error message.
+fn parse_request_value(line: &str) -> Result<Request, RequestError> {
     let value: Value =
         serde_json::from_str(line).map_err(|e| RequestError::Malformed(e.to_string()))?;
     match value.as_map() {
@@ -1006,14 +990,55 @@ fn parse_session_snapshot(value: &Value) -> Result<SessionSnapshot, String> {
     Ok(SessionSnapshot { lifecycle, next_handle, tasks, stats })
 }
 
-/// Render one response as a JSONL line (no trailing newline).
+/// Render one response as a JSONL line (no trailing newline), in the
+/// fixed key order of [`Response`]'s fields.
 pub fn render_response(resp: &Response) -> String {
-    serde_json::to_string(resp).expect("response serialization is infallible")
+    codec::write_response(resp)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    // The writer's reference, through the `Value` tree: the 17 legacy
+    // fields always, then the three v2 keys only when present.
+    impl Serialize for Response {
+        fn to_value(&self) -> Value {
+            let mut entries: Vec<(String, Value)> = vec![
+                ("id".to_string(), self.id.to_value()),
+                ("seq".to_string(), self.seq.to_value()),
+                ("op".to_string(), self.op.to_value()),
+                ("shard".to_string(), self.shard.to_value()),
+                ("ok".to_string(), self.ok.to_value()),
+                ("verdict".to_string(), self.verdict.to_value()),
+                ("tier".to_string(), self.tier.to_value()),
+                ("handle".to_string(), self.handle.to_value()),
+                ("tasks".to_string(), self.tasks.to_value()),
+                ("ut".to_string(), self.ut.to_value()),
+                ("us".to_string(), self.us.to_value()),
+                ("margin".to_string(), self.margin.to_value()),
+                ("margins".to_string(), self.margins.to_value()),
+                ("stats".to_string(), self.stats.to_value()),
+                ("obs".to_string(), self.obs.to_value()),
+                ("reason".to_string(), self.reason.to_value()),
+                ("error".to_string(), self.error.to_value()),
+                ("latency_us".to_string(), self.latency_us.to_value()),
+            ];
+            if let Some(session) = &self.session {
+                entries.push(("session".to_string(), session.to_value()));
+            }
+            if let Some(lifecycle) = &self.lifecycle {
+                entries.push(("lifecycle".to_string(), lifecycle.to_value()));
+            }
+            if let Some(snapshot) = &self.snapshot {
+                entries.push(("snapshot".to_string(), snapshot.to_value()));
+            }
+            Value::Map(entries)
+        }
+    }
 
     #[test]
     fn v1_request_round_trip_with_defaults() {
@@ -1230,5 +1255,435 @@ mod tests {
             &Response::ok("pause", 1).id("p").session("alice").lifecycle("paused").build(),
         );
         assert!(line.ends_with(r#""session":"alice","lifecycle":"paused"}"#), "{line}");
+    }
+
+    // ------------------------------------------------ codec vs reference
+
+    /// Every recorded request line: 192 lines over the three transcripts.
+    fn golden_request_lines() -> impl Iterator<Item = &'static str> {
+        [
+            include_str!("../testdata/requests.jsonl"),
+            include_str!("../testdata/resubmit.requests.jsonl"),
+            include_str!("../testdata/sessions.requests.jsonl"),
+        ]
+        .into_iter()
+        .flat_map(str::lines)
+    }
+
+    /// `parse_request` must give exactly what the `Value` parser gives.
+    /// `Debug` text is compared because it tells `-0.0` from `0.0`, which
+    /// `==` does not.
+    fn assert_parses_like_reference(line: &str) {
+        let fast = format!("{:?}", parse_request(line));
+        let reference = format!("{:?}", parse_request_value(line));
+        assert_eq!(fast, reference, "line {line:?}");
+    }
+
+    fn pick<'a>(rng: &mut StdRng, items: &[&'a str]) -> &'a str {
+        items[rng.gen_range(0..items.len())]
+    }
+
+    /// String literals the scanner takes: plain, non-ASCII, a raw tab.
+    const STRINGS: &[&str] =
+        &[r#""alice""#, r#""default""#, r#""s-7""#, r#""Zoë 日本""#, "\"raw\ttab\""];
+    /// String literals it leaves to the `Value` parser: empty (an error
+    /// as a session), escaped, and an invalid escape.
+    const HOSTILE_STRINGS: &[&str] = &[
+        r#""""#,
+        r#""a\"b""#,
+        r#""back\\slash""#,
+        r#""line\nbreak""#,
+        r#""alice""#,
+        r#""\/""#,
+        r#""bad\x""#,
+    ];
+    /// Unsigned integers in `u32` range, including `-0` and leading zeros.
+    const UINTS: &[&str] = &["0", "2", "7", "-0", "007", "4294967295"];
+    /// Numbers only a task time takes: signed zero, fractions, exponents,
+    /// integers past `u32`, `i64` and `u64`.
+    const FLOATS: &[&str] = &[
+        "1.0",
+        "0.95",
+        "-0.0",
+        "1e2",
+        "1E-7",
+        "2.5e+3",
+        "1.",
+        "-1",
+        "4294967296",
+        "9223372036854775807",
+        "9223372036854775808",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-9223372036854775809",
+    ];
+    /// Text the number rule rejects or that no key takes.
+    const HOSTILE_NUMBERS: &[&str] = &["-", "1e", "+1", ".5", "01.5.2", "1e999"];
+    /// Values of the wrong JSON type for any key.
+    const OTHERS: &[&str] = &["null", "true", "false", "{}", "[]", "[1,2]", r#""x""#, "3"];
+
+    /// Request-line generator. A clean line draws only what the scanner
+    /// takes, so the property covers its path; a hostile line may also
+    /// draw escapes, wrong types, odd numbers, form feeds, missing,
+    /// repeated and unknown keys, and trailing bytes.
+    struct LineGen {
+        rng: StdRng,
+        hostile: bool,
+        op: String,
+    }
+
+    impl LineGen {
+        fn new(seed: u64) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let hostile = rng.gen_bool(0.5);
+            LineGen { rng, hostile, op: String::new() }
+        }
+
+        /// A draw from `clean`, or on a hostile line now and then from
+        /// `hostile`.
+        fn pick(&mut self, clean: &[&'static str], hostile: &[&'static str]) -> String {
+            let pool = if self.hostile && self.rng.gen_bool(0.15) { hostile } else { clean };
+            pick(&mut self.rng, pool).to_string()
+        }
+
+        fn chance(&mut self, p: f64) -> bool {
+            self.hostile && self.rng.gen_bool(p)
+        }
+
+        fn uint(&mut self) -> String {
+            match self.rng.gen_range(0..3) {
+                0 => self.rng.gen_range(0..20u32).to_string(),
+                _ => self.pick(UINTS, &[HOSTILE_NUMBERS, FLOATS].concat()),
+            }
+        }
+
+        fn float(&mut self) -> String {
+            match self.rng.gen_range(0..3) {
+                0 => format!("{:?}", self.rng.gen_range(0.0..100.0)),
+                1 => self.pick(FLOATS, HOSTILE_NUMBERS),
+                _ => self.uint(),
+            }
+        }
+
+        /// A value for `key`: of the key's protocol type, except now and
+        /// then on a hostile line.
+        fn value(&mut self, key: &str) -> String {
+            if self.chance(0.1) {
+                return pick(&mut self.rng, OTHERS).to_string();
+            }
+            match key {
+                "op" => format!("\"{}\"", self.op),
+                "task" => self.task(),
+                "margins" => pick(&mut self.rng, &["true", "false"]).to_string(),
+                "handle" | "shard" | "area" => self.uint(),
+                "exec" | "deadline" | "period" => self.float(),
+                "snapshot" => r#"{"lifecycle":"paused","next_handle":1,"tasks":[],"stats":{"decisions":0,"accepted":0,"rejected":0,"tiers":{"dp_inc":0,"gn1":0,"gn2":0,"exact":0}}}"#.to_string(),
+                _ => self.pick(STRINGS, HOSTILE_STRINGS),
+            }
+        }
+
+        /// Whitespace between tokens: usually none, else bytes the shim
+        /// skips; a hostile line may draw a form feed, which it does not.
+        fn ws(&mut self) -> String {
+            if self.rng.gen_bool(0.8) {
+                String::new()
+            } else {
+                self.pick(&[" ", "\t", "\n", "\r", "  \t"], &["\u{0c}"])
+            }
+        }
+
+        /// An object of `keys`, shuffled, with generated whitespace; a
+        /// hostile line may drop or repeat a key.
+        fn object(&mut self, mut keys: Vec<&str>) -> String {
+            for i in (1..keys.len()).rev() {
+                keys.swap(i, self.rng.gen_range(0..=i));
+            }
+            if !keys.is_empty() && self.chance(0.05) {
+                keys.remove(self.rng.gen_range(0..keys.len()));
+            }
+            if !keys.is_empty() && self.chance(0.05) {
+                keys.push(keys[self.rng.gen_range(0..keys.len())]);
+            }
+            let mut out = format!("{{{}", self.ws());
+            for (i, key) in keys.into_iter().enumerate() {
+                if i > 0 {
+                    out += &format!("{},{}", self.ws(), self.ws());
+                }
+                out += &format!("\"{key}\"{}:{}{}", self.ws(), self.ws(), self.value(key));
+            }
+            out + &format!("{}}}", self.ws())
+        }
+
+        fn task(&mut self) -> String {
+            let mut keys = vec!["exec", "deadline", "period", "area"];
+            if self.chance(0.1) {
+                keys.push(pick(&mut self.rng, &["color", "exec"]));
+            }
+            self.object(keys)
+        }
+
+        /// A v1 or v2 request line of any op.
+        fn line(&mut self) -> String {
+            let v2 = self.rng.gen_bool(0.6);
+            self.op = self.pick(
+                &[
+                    "admit", "admit", "admit", "release", "query", "stats", "create", "pause",
+                    "resume", "snapshot", "destroy",
+                ],
+                &["restore", "warp"],
+            );
+            let mut keys = vec!["op"];
+            if v2 {
+                keys.push("session");
+            } else if self.rng.gen_bool(0.3) {
+                keys.push("shard");
+            }
+            if self.rng.gen_bool(0.5) {
+                keys.push("id");
+            }
+            match self.op.as_str() {
+                "admit" => keys.push("task"),
+                "release" => keys.push("handle"),
+                "restore" => keys.push("snapshot"),
+                _ => {}
+            }
+            if matches!(self.op.as_str(), "admit" | "query") && self.rng.gen_bool(0.5) {
+                keys.push("margins");
+            }
+            // Another op's payload key (v2 rejects it, v1 ignores it), or
+            // one no op takes.
+            if self.rng.gen_bool(0.15) {
+                let extra = ["task", "handle", "margins", "shard", "session", "snapshot", "debug"];
+                keys.push(pick(&mut self.rng, &extra));
+            }
+            let body = self.object(keys);
+            let tail = if self.chance(0.05) {
+                pick(&mut self.rng, &[" x", "}", ",", "\n", "{}"])
+            } else {
+                ""
+            };
+            format!("{}{body}{tail}", self.ws())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn generated_requests_parse_like_the_reference(seed in 0u64..u64::MAX) {
+            assert_parses_like_reference(&LineGen::new(seed).line());
+        }
+    }
+
+    #[test]
+    fn generated_requests_reach_both_paths() {
+        // The differential property above is only as strong as its mix:
+        // a fair share of its lines must take the scanner, and a fair
+        // share must fall back.
+        let lines: Vec<String> = (0..2000).map(|seed| LineGen::new(seed).line()).collect();
+        let scanned = lines.iter().filter(|l| codec::scan_request(l).is_some()).count();
+        let rejected = lines.iter().filter(|l| parse_request_value(l).is_err()).count();
+        assert!(scanned > 600, "scanned {scanned} of 2000");
+        assert!(rejected > 600, "rejected {rejected} of 2000");
+    }
+
+    #[test]
+    fn cut_and_corrupted_golden_lines_parse_like_the_reference() {
+        for line in golden_request_lines() {
+            for cut in 0..=line.len() {
+                if let Some(prefix) = line.get(..cut) {
+                    assert_parses_like_reference(prefix);
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(11);
+        for line in golden_request_lines() {
+            for _ in 0..16 {
+                let mut bytes = line.as_bytes().to_vec();
+                for _ in 0..rng.gen_range(1..=3) {
+                    let i = rng.gen_range(0..bytes.len());
+                    bytes[i] = if rng.gen_bool(0.5) {
+                        rng.gen::<u32>() as u8
+                    } else {
+                        *pick(&mut rng, &["\"", "\\", "{", "}", ",", ":", "-", "0", "e", " "])
+                            .as_bytes()
+                            .first()
+                            .unwrap()
+                    };
+                }
+                assert_parses_like_reference(&String::from_utf8_lossy(&bytes));
+            }
+        }
+    }
+
+    #[test]
+    fn the_scanner_takes_every_well_formed_golden_request() {
+        // A line may fall back only when it is a `restore`, an error, or a
+        // lenient v1 line carrying a key outside the protocol's.
+        const KEYS: &[&str] = &["id", "session", "op", "shard", "task", "handle", "margins"];
+        let (mut scanned, mut total) = (0, 0);
+        for line in golden_request_lines() {
+            total += 1;
+            let reference = parse_request_value(line);
+            match codec::scan_request(line) {
+                Some(fast) => {
+                    scanned += 1;
+                    assert_eq!(
+                        format!("{:?}", Ok::<_, RequestError>(fast)),
+                        format!("{reference:?}")
+                    );
+                }
+                None => {
+                    let value: Value = serde_json::from_str(line).unwrap_or(Value::Null);
+                    let extra_key = value.as_map().is_some_and(|entries| {
+                        entries.iter().any(|(k, _)| !KEYS.contains(&k.as_str()))
+                    });
+                    let restore = matches!(&reference, Ok(Request { op: Op::Restore(_), .. }));
+                    assert!(reference.is_err() || restore || extra_key, "fell back on {line}");
+                }
+            }
+        }
+        assert_eq!(total, 192);
+        assert_eq!(scanned, 188, "lines the scanner takes");
+    }
+
+    /// String contents covering every escape, the characters around them
+    /// and non-ASCII text.
+    const TEXTS: &[&str] = &[
+        "",
+        "req-7",
+        "accept",
+        "dp-inc",
+        "quote \" inside",
+        "back\\slash",
+        "new\nline",
+        "cr\rtab\t",
+        "bell\u{07}bs\u{08}ff\u{0c}",
+        "\u{00}\u{01}\u{1f}",
+        "\u{7f} del is not escaped",
+        "/ solidus",
+        "Zoë 日本 🦀",
+    ];
+
+    fn text(rng: &mut StdRng) -> String {
+        let mut out = String::new();
+        for _ in 0..rng.gen_range(1..=2) {
+            out.push_str(TEXTS[rng.gen_range(0..TEXTS.len())]);
+        }
+        out
+    }
+
+    fn opt<T>(rng: &mut StdRng, make: impl FnOnce(&mut StdRng) -> T) -> Option<T> {
+        if rng.gen_bool(0.5) {
+            Some(make(rng))
+        } else {
+            None
+        }
+    }
+
+    fn big_u64(rng: &mut StdRng) -> u64 {
+        match rng.gen_range(0..4) {
+            0 => u64::MAX - rng.gen_range(0..2u64),
+            1 => i64::MAX as u64 + rng.gen_range(0..2u64),
+            _ => rng.gen_range(0..1000),
+        }
+    }
+
+    fn float(rng: &mut StdRng) -> f64 {
+        const SPECIAL: &[f64] =
+            &[0.0, -0.0, 3.0, 1e-7, 1e16, 1e300, -2.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        match rng.gen_range(0..3) {
+            0 => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+            1 => rng.gen_range(-10.0..10.0),
+            _ => f64::from_bits(rng.gen::<u64>()),
+        }
+    }
+
+    fn stats(rng: &mut StdRng) -> QueryStats {
+        QueryStats {
+            decisions: big_u64(rng),
+            accepted: big_u64(rng),
+            rejected: big_u64(rng),
+            tiers: TierCounts {
+                dp_inc: big_u64(rng),
+                gn1: big_u64(rng),
+                gn2: big_u64(rng),
+                exact: big_u64(rng),
+            },
+        }
+    }
+
+    fn obs_snapshot(rng: &mut StdRng) -> Snapshot {
+        let registry = Registry::with_mode(rng.gen_bool(0.5));
+        registry.set_meta("mode", &text(rng));
+        stats(rng).fold_into(&registry);
+        registry.record_ns("admission/tier/gn2/decision_ns", rng.gen_range(0..10_000));
+        registry.snapshot()
+    }
+
+    fn session_snapshot(rng: &mut StdRng) -> SessionSnapshot {
+        SessionSnapshot {
+            lifecycle: text(rng),
+            next_handle: big_u64(rng),
+            tasks: (0..rng.gen_range(0..3))
+                .map(|_| SnapshotTask {
+                    handle: big_u64(rng),
+                    task: TaskParams {
+                        exec: float(rng),
+                        deadline: float(rng),
+                        period: float(rng),
+                        area: rng.gen(),
+                    },
+                })
+                .collect(),
+            stats: stats(rng),
+        }
+    }
+
+    /// A response with every field drawn independently. Counts stay at or
+    /// below `i64::MAX`: the reference writes a `usize` through `i64`.
+    fn response(rng: &mut StdRng) -> Response {
+        let count = |rng: &mut StdRng| rng.gen_range(0..=i64::MAX as u64) as usize;
+        Response {
+            id: text(rng),
+            seq: big_u64(rng),
+            op: text(rng),
+            shard: rng.gen(),
+            ok: rng.gen(),
+            verdict: opt(rng, text),
+            tier: opt(rng, text),
+            handle: opt(rng, big_u64),
+            tasks: opt(rng, count),
+            ut: opt(rng, float),
+            us: opt(rng, float),
+            margin: opt(rng, float),
+            margins: opt(rng, |rng| {
+                (0..rng.gen_range(0..4))
+                    .map(|_| PerTaskMargin {
+                        index: count(rng),
+                        handle: opt(rng, big_u64),
+                        margin: float(rng),
+                    })
+                    .collect()
+            }),
+            stats: opt(rng, stats),
+            obs: if rng.gen_bool(0.2) { Some(obs_snapshot(rng)) } else { None },
+            reason: opt(rng, text),
+            error: opt(rng, text),
+            latency_us: opt(rng, big_u64),
+            session: opt(rng, text),
+            lifecycle: opt(rng, text),
+            snapshot: if rng.gen_bool(0.2) { Some(session_snapshot(rng)) } else { None },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn generated_responses_render_like_the_reference(seed in 0u64..u64::MAX) {
+            let resp = response(&mut StdRng::seed_from_u64(seed));
+            prop_assert_eq!(render_response(&resp), serde_json::to_string(&resp).unwrap());
+        }
     }
 }

@@ -183,9 +183,12 @@ enum Stream {
 }
 
 impl Stream {
-    fn set_nonblocking(&self) -> std::io::Result<()> {
+    /// Non-blocking for the event loop; TCP also sets `TCP_NODELAY`, so a
+    /// short response is sent at once instead of waiting for the client's
+    /// delayed ACK.
+    fn configure(&self) -> std::io::Result<()> {
         match self {
-            Stream::Tcp(s) => s.set_nonblocking(true),
+            Stream::Tcp(s) => s.set_nonblocking(true).and_then(|()| s.set_nodelay(true)),
             Stream::Unix(s) => s.set_nonblocking(true),
         }
     }
@@ -347,8 +350,8 @@ impl SocketServer {
             while !stopping && !cfg.max_conns.is_some_and(|m| accepted_total >= m) {
                 match self.listener.accept() {
                     Ok(Some(stream)) => {
-                        if let Err(e) = stream.set_nonblocking() {
-                            return Err(format!("set_nonblocking on accepted conn: {e}"));
+                        if let Err(e) = stream.configure() {
+                            return Err(format!("configure accepted conn: {e}"));
                         }
                         conns.push(Conn::new(core.open(), stream));
                         accepted_total += 1;
@@ -641,8 +644,10 @@ impl ClientStream {
     pub fn connect(endpoint: &Endpoint) -> Result<ClientStream, String> {
         match endpoint {
             Endpoint::Stdio => Err("cannot connect to `stdio`".to_string()),
+            // `TCP_NODELAY`: a request is sent as soon as it is written,
+            // however the caller splits its writes.
             Endpoint::Tcp(addr) => TcpStream::connect(addr)
-                .map(ClientStream::Tcp)
+                .and_then(|s| s.set_nodelay(true).map(|()| ClientStream::Tcp(s)))
                 .map_err(|e| format!("connect tcp://{addr}: {e}")),
             Endpoint::Unix(path) => UnixStream::connect(path)
                 .map(ClientStream::Unix)
@@ -766,5 +771,23 @@ mod tests {
     #[test]
     fn binding_stdio_is_rejected() {
         assert!(SocketServer::bind(&Endpoint::Stdio, TransportConfig::default()).is_err());
+    }
+
+    #[test]
+    fn tcp_streams_disable_nagle_on_both_ends() {
+        let server = SocketServer::bind(&Endpoint::Tcp("127.0.0.1:0".into()), Default::default())
+            .expect("bind");
+        let client = ClientStream::connect(&server.local_endpoint()).expect("connect");
+        let ClientStream::Tcp(client) = client else { panic!("expected a TCP client") };
+        assert!(client.nodelay().unwrap());
+        let accepted = loop {
+            if let Some(stream) = server.listener.accept().expect("accept") {
+                break stream;
+            }
+            std::thread::yield_now();
+        };
+        accepted.configure().expect("configure");
+        let Stream::Tcp(accepted) = accepted else { panic!("expected a TCP stream") };
+        assert!(accepted.nodelay().unwrap());
     }
 }
