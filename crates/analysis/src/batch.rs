@@ -49,37 +49,6 @@
 
 use fpga_rt_model::{Fpga, TaskSet, Time};
 
-/// Which kernel evaluates the DP/GN1/GN2/AnyOf series in an engine that
-/// supports both (`fpga-rt sweep --kernel scalar|batch`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AnalysisKernel {
-    /// The batch SoA kernel of this module (default).
-    #[default]
-    Batch,
-    /// The scalar [`SchedTest`](crate::SchedTest) implementations — the
-    /// escape hatch for cross-checking the kernels against each other.
-    Scalar,
-}
-
-impl AnalysisKernel {
-    /// Parse a CLI value (`"batch"` / `"scalar"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "batch" => Some(AnalysisKernel::Batch),
-            "scalar" => Some(AnalysisKernel::Scalar),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase identifier (`"batch"` / `"scalar"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            AnalysisKernel::Batch => "batch",
-            AnalysisKernel::Scalar => "scalar",
-        }
-    }
-}
-
 /// The four analytic series the kernel computes, in the fixed order the
 /// sweep and conformance engines report them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -717,11 +686,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_series_identifiers_are_stable() {
-        assert_eq!(AnalysisKernel::parse("batch"), Some(AnalysisKernel::Batch));
-        assert_eq!(AnalysisKernel::parse("scalar"), Some(AnalysisKernel::Scalar));
-        assert_eq!(AnalysisKernel::parse("simd"), None);
-        assert_eq!(AnalysisKernel::default().name(), "batch");
+    fn series_identifiers_are_stable() {
         let names: Vec<&str> = AnalysisSeries::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(names, vec!["DP", "GN1", "GN2", "AnyOf"]);
     }

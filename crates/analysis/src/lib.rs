@@ -77,8 +77,7 @@ pub mod report;
 pub mod traits;
 
 pub use batch::{
-    AnalysisKernel, AnalysisSeries, BatchAnalyzer, BatchVerdict, BatchVerdicts, ScratchSpace,
-    TaskSetBatch,
+    AnalysisSeries, BatchAnalyzer, BatchVerdict, BatchVerdicts, ScratchSpace, TaskSetBatch,
 };
 pub use composite::{AllOfTest, AnyOfTest};
 pub use dp::{DpAreaBound, DpConfig, DpTest};

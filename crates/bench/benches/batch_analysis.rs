@@ -23,8 +23,8 @@ fn population(workload: &FigureWorkload) -> Vec<TaskSet<f64>> {
     figure_tasksets(workload, POPULATION, 20070326)
 }
 
-/// Scalar reference: every evaluator of the `--kernel scalar` suite on
-/// every taskset.
+/// Scalar reference: every evaluator of
+/// [`analysis_evaluators_scalar`] on every taskset.
 fn run_scalar(tasksets: &[TaskSet<f64>], device: &fpga_rt_model::Fpga) -> usize {
     let evaluators = analysis_evaluators_scalar();
     let mut accepted = 0usize;

@@ -1,10 +1,12 @@
 //! Bench target for Figures 4(a)/4(b): the constrained-distribution sweep
-//! kernels (spatially-heavy/temporally-light and the converse). Full
-//! regeneration is `cargo run -p fpga-rt-exp --bin figures -- fig4a fig4b`.
+//! kernels (spatially-heavy/temporally-light and the converse), through the
+//! sweep engine on one pool worker. Full regeneration is
+//! `fpga-rt study figures --figure fig4a` (and `fig4b`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fpga_rt_exp::acceptance::{run_sweep, standard_evaluators, SweepConfig};
-use fpga_rt_gen::{FigureWorkload, UtilizationBins};
+use fpga_rt_exp::acceptance::standard_evaluators;
+use fpga_rt_exp::sweep::{run_pool_sweep, PoolSweepConfig};
+use fpga_rt_gen::FigureWorkload;
 use std::hint::black_box;
 
 fn bench_fig4(c: &mut Criterion) {
@@ -14,10 +16,9 @@ fn bench_fig4(c: &mut Criterion) {
         let evaluators = standard_evaluators(10.0);
         group.bench_function(format!("{}/sweep-5-per-bin", workload.id), |b| {
             b.iter(|| {
-                let mut config = SweepConfig::new(workload, 5, 99);
-                config.bins = UtilizationBins::paper_default();
-                config.threads = 1;
-                black_box(run_sweep(&config, &evaluators, None))
+                let mut config = PoolSweepConfig::new(workload, 5, 99);
+                config.workers = 1;
+                black_box(run_pool_sweep(&config, &evaluators))
             })
         });
     }

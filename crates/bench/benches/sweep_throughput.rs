@@ -6,17 +6,18 @@
 //!   kernel; because the engine is deterministic in the worker count,
 //!   every row evaluates the *identical* work.
 //! * **kernel comparison** — the batch SoA kernel against the scalar
-//!   evaluators at `--workers 1` (`kernel_speedup_report` prints the
-//!   ratio; the PR-5 acceptance criterion is batch ≥ 1.5× scalar).
+//!   reference evaluators at one worker (`kernel_speedup_report` prints
+//!   the ratio; the kernel's acceptance criterion is batch ≥ 1.5× scalar).
 //!
 //! Worker counts honour `FPGA_RT_BENCH_MAX_WORKERS`
 //! ([`fpga_rt_bench::bench_worker_counts`]) so CI perf jobs can pin the
 //! suite to single-worker rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fpga_rt_analysis::AnalysisKernel;
 use fpga_rt_bench::bench_worker_counts;
-use fpga_rt_exp::sweep::{analysis_evaluators_for, run_pool_sweep, PoolSweepConfig};
+use fpga_rt_exp::sweep::{
+    analysis_evaluators, analysis_evaluators_scalar, run_pool_sweep, PoolSweepConfig,
+};
 use fpga_rt_gen::{FigureWorkload, UtilizationBins};
 use std::hint::black_box;
 
@@ -34,14 +35,14 @@ fn bench_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_throughput");
     for workers in bench_worker_counts() {
         group.bench_with_input(BenchmarkId::new("batch", workers), &workers, |b, &w| {
-            let evaluators = analysis_evaluators_for(AnalysisKernel::Batch);
+            let evaluators = analysis_evaluators();
             b.iter(|| black_box(run_pool_sweep(&config(w), &evaluators)))
         });
     }
     // One scalar row at the noise-minimal worker count anchors the kernel
     // comparison inside the tracked bench set.
     group.bench_with_input(BenchmarkId::new("scalar", 1usize), &1usize, |b, &w| {
-        let evaluators = analysis_evaluators_for(AnalysisKernel::Scalar);
+        let evaluators = analysis_evaluators_scalar();
         b.iter(|| black_box(run_pool_sweep(&config(w), &evaluators)))
     });
     group.finish();
@@ -60,7 +61,7 @@ fn best_time(mut f: impl FnMut()) -> f64 {
 /// Direct tasksets/sec and worker-speedup figures on the batch kernel
 /// (the criterion shim only prints ns/iter of the whole sweep).
 fn speedup_report(_c: &mut Criterion) {
-    let evaluators = analysis_evaluators_for(AnalysisKernel::Batch);
+    let evaluators = analysis_evaluators();
     let time = |workers: usize| {
         best_time(|| drop(black_box(run_pool_sweep(&config(workers), &evaluators))))
     };
@@ -77,11 +78,11 @@ fn speedup_report(_c: &mut Criterion) {
     }
 }
 
-/// Batch-vs-scalar kernel ratio at `--workers 1` on the fig-3 population —
-/// the PR-5 acceptance criterion (≥ 1.5×).
+/// Batch-vs-scalar kernel ratio at one worker on the fig-3 population —
+/// the kernel's acceptance criterion (≥ 1.5×).
 fn kernel_speedup_report(_c: &mut Criterion) {
-    let batch_evals = analysis_evaluators_for(AnalysisKernel::Batch);
-    let scalar_evals = analysis_evaluators_for(AnalysisKernel::Scalar);
+    let batch_evals = analysis_evaluators();
+    let scalar_evals = analysis_evaluators_scalar();
     let units = (BINS * PER_BIN) as f64;
     let scalar = best_time(|| drop(black_box(run_pool_sweep(&config(1), &scalar_evals))));
     let batch = best_time(|| drop(black_box(run_pool_sweep(&config(1), &batch_evals))));

@@ -1,7 +1,7 @@
 //! Bench target for Tables 1–3: cost of one full verdict-matrix evaluation
 //! (DP + GN1 + GN2) per table, in `f64` and in exact rational arithmetic.
-//! Regenerating the tables themselves is `cargo run -p fpga-rt-exp --bin
-//! tables`; this target measures the kernel the reproduction rests on.
+//! Regenerating the tables themselves is `fpga-rt tables`; this target
+//! measures the kernel the reproduction rests on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fpga_rt_exp::tables::{paper_tables, table_device, VerdictRow};

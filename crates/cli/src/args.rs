@@ -1,26 +1,65 @@
-//! Shared, checked flag parsers — the single implementation of the CLI's
-//! usage-error discipline.
+//! The CLI's one argument parser: [`Args`] splits a command line into
+//! flags and positionals, and the checked parsers below turn flag values
+//! into typed settings.
 //!
-//! Every subcommand resolves its numeric/enum/path flags through this
-//! module instead of `Args::get` (which silently falls back to the default
-//! on a parse failure — fine for study binaries, wrong for CI-gating
-//! subcommands where a typo like `--per-bin 25O` must not quietly gate a
-//! different population). All parsers return `Err(String)`, which the
+//! Every subcommand resolves its numeric/enum/path flags through these
+//! parsers. A value that is present but does not parse is never replaced
+//! by the default: a typo like `--per-bin 25O` must not quietly run a
+//! different population. All parsers return `Err(String)`, which the
 //! dispatcher maps to process exit code 2, so every rejected form produces
 //! a uniform usage error. The rejected forms are regression-tested once,
-//! centrally, in `commands.rs`.
+//! centrally, below.
 
-use fpga_rt_analysis::AnalysisKernel;
-use fpga_rt_exp::cli::Args;
+use fpga_rt_gen::FigureWorkload;
 use fpga_rt_obs::{Obs, Snapshot};
 use fpga_rt_service::Endpoint;
+use std::collections::HashMap;
+
+/// The shared experiment epoch seed (the paper's submission date), the
+/// default of every population-drawing subcommand.
+pub(crate) const DEFAULT_SEED: u64 = 20070326;
+
+/// Parsed `--key value` / `--flag` command-line options plus positional
+/// arguments.
+#[derive(Debug, Clone, Default)]
+pub struct Args {
+    /// `--key value` pairs (a key present without a value maps to `""`).
+    pub flags: HashMap<String, String>,
+    /// Non-flag arguments in order.
+    pub positional: Vec<String>,
+}
+
+impl Args {
+    /// Parse from any iterator of argument strings.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+        let mut out = Args::default();
+        let mut iter = args.into_iter().peekable();
+        while let Some(a) = iter.next() {
+            if let Some(key) = a.strip_prefix("--") {
+                let value = match iter.peek() {
+                    Some(v) if !v.starts_with("--") => iter.next().unwrap_or_default(),
+                    _ => String::new(),
+                };
+                out.flags.insert(key.to_string(), value);
+            } else {
+                out.positional.push(a);
+            }
+        }
+        out
+    }
+
+    /// `true` when `--key` was present (with or without a value).
+    pub fn has(&self, key: &str) -> bool {
+        self.flags.contains_key(key)
+    }
+}
 
 /// Parse `--key` as a count that must be ≥ 1 when given. Returns `None`
 /// when the flag is absent (the caller's default applies — e.g. "all
 /// cores" for worker counts). An explicit `0` or an unparseable value is
-/// a usage error: `Args::get` would silently fall back to the default,
-/// which for `--workers 0` / `--shards 0` used to leak the internal
-/// "auto" sentinel into, or silently correct, downstream sizing.
+/// a usage error: for `--workers 0` / `--shards 0` a fallback would leak
+/// the internal "auto" sentinel into, or silently correct, downstream
+/// sizing.
 pub(crate) fn positive_count(args: &Args, key: &str) -> Result<Option<usize>, String> {
     match args.flags.get(key) {
         None => Ok(None),
@@ -49,15 +88,36 @@ pub(crate) fn cache_entries(args: &Args) -> Result<Option<usize>, String> {
     }
 }
 
-/// Parse `--exact-margin` (serve): the knife-edge threshold below which
-/// the admission cascade re-checks a decision in exact arithmetic. Must be
-/// finite and non-negative; the default is the service's 1e-9.
-pub(crate) fn exact_margin(args: &Args) -> Result<f64, String> {
-    let margin = parsed_flag(args, "exact-margin", 1e-9f64)?;
-    if !(margin.is_finite() && margin >= 0.0) {
-        return Err(format!("--exact-margin must be a finite non-negative value, got {margin}"));
+/// Parse `--key` as a finite, non-negative real: `--exact-margin` (the
+/// knife-edge threshold below which the serve cascade re-checks a
+/// decision in exact arithmetic) and `--overhead-per-column` (simulate).
+pub(crate) fn non_negative(args: &Args, key: &str, default: f64) -> Result<f64, String> {
+    let v = parsed_flag(args, key, default)?;
+    if !(v.is_finite() && v >= 0.0) {
+        return Err(format!("--{key} must be a finite non-negative value, got {v}"));
     }
-    Ok(margin)
+    Ok(v)
+}
+
+/// Parse `--key` as a finite, strictly positive multiple of the largest
+/// period: the simulation horizons `--horizon` (simulate) and
+/// `--sim-horizon` (conform, study).
+pub(crate) fn horizon_factor(args: &Args, key: &str, default: f64) -> Result<f64, String> {
+    let v = parsed_flag(args, key, default)?;
+    if !(v.is_finite() && v > 0.0) {
+        return Err(format!("--{key} must be a positive factor, got {v}"));
+    }
+    Ok(v)
+}
+
+/// Resolve `--figure fig3a|fig3b|fig4a|fig4b|all` to its workloads.
+pub(crate) fn figures(spec: &str) -> Result<Vec<FigureWorkload>, String> {
+    if spec == "all" {
+        return Ok(FigureWorkload::all());
+    }
+    FigureWorkload::by_id(spec)
+        .map(|w| vec![w])
+        .ok_or_else(|| format!("unknown figure {spec:?} (fig3a|fig3b|fig4a|fig4b|all)"))
 }
 
 /// Parse `--listen stdio|tcp://HOST:PORT|unix://PATH` (serve): the
@@ -89,20 +149,16 @@ pub(crate) fn connect_endpoint(args: &Args) -> Result<Endpoint, String> {
     }
 }
 
-/// Parse `--seed` through the shared checked helper (usage error on
-/// garbage, the documented default when absent).
+/// Parse `--seed` as a `u64`: absent means `default`, but a
+/// present-and-unparseable value (`--seed 0x2a`, `--seed 12e3`, an empty
+/// value from `--seed --pretty`) is a usage error — a fallback would
+/// reproduce a different population than the one asked for.
 pub(crate) fn seed(args: &Args, default: u64) -> Result<u64, String> {
-    args.seed(default)
-}
-
-/// Parse `--kernel batch|scalar` (default batch). The two kernels are
-/// bit-identical by contract — the scalar path exists as an escape hatch
-/// and as the reference the batch kernel is cross-checked against.
-pub(crate) fn kernel_flag(args: &Args) -> Result<AnalysisKernel, String> {
-    match args.flags.get("kernel") {
-        None => Ok(AnalysisKernel::default()),
-        Some(v) => AnalysisKernel::parse(v)
-            .ok_or_else(|| format!("--kernel expects batch|scalar, got {v:?}")),
+    match args.flags.get("seed") {
+        None => Ok(default),
+        Some(v) => v
+            .parse::<u64>()
+            .map_err(|_| format!("--seed expects an unsigned 64-bit integer, got {v:?}")),
     }
 }
 
@@ -192,9 +248,7 @@ pub(crate) fn write_metrics(
 }
 
 /// Parse `--key` as a typed value, erroring on unparseable input instead
-/// of silently using the default (`Args::get` does the latter — fine for
-/// study binaries, wrong for CI-gating subcommands where a typo like
-/// `--per-bin 25O` must not quietly gate a different population).
+/// of silently using the default.
 pub(crate) fn parsed_flag<T: std::str::FromStr>(
     args: &Args,
     key: &str,
@@ -214,8 +268,19 @@ mod tests {
         Args::from_args(line.iter().map(|s| s.to_string()))
     }
 
-    /// Satellite regression: the four shared parsers reject each bad form
-    /// once, centrally — subcommand tests only need to check the wiring.
+    #[test]
+    fn parses_flags_and_positionals() {
+        let a = args(&["figures", "--per-bin", "500", "--pretty", "--seed", "7", "fig4b"]);
+        assert_eq!(a.positional, vec!["figures", "fig4b"]);
+        assert_eq!(a.flags.get("per-bin").map(String::as_str), Some("500"));
+        assert!(a.has("pretty") && !a.has("missing"));
+        // A flag followed by a flag has an empty value.
+        assert_eq!(a.flags.get("pretty").map(String::as_str), Some(""));
+        assert_eq!(seed(&a, 0).unwrap(), 7);
+    }
+
+    /// The shared parsers reject each bad form once, centrally —
+    /// subcommand tests only need to check the wiring.
     #[test]
     fn each_rejected_form_is_a_usage_error() {
         // --workers / --shards / any count flag.
@@ -234,23 +299,39 @@ mod tests {
             .contains("positive entry count"));
         assert_eq!(cache_entries(&args(&[])).unwrap(), Some(1024));
         assert_eq!(cache_entries(&args(&["--cache", "off"])).unwrap(), None);
+        // --n / --max / --columns: zero and typos are refused, never
+        // replaced by the default.
+        for (key, bad) in [("n", "0"), ("n", "3O"), ("max", "1O"), ("columns", "1O")] {
+            assert!(positive_count(&args(&[&format!("--{key}"), bad]), key).is_err(), "{key}");
+        }
         // --seed.
-        assert!(seed(&args(&["--seed", "12e3"]), 7).unwrap_err().contains("unsigned 64-bit"));
+        for bad in ["12e3", "0x2a", "-1", ""] {
+            let err = seed(&args(&["--seed", bad]), 7).unwrap_err();
+            assert!(err.contains("unsigned 64-bit"), "{err}");
+        }
+        assert!(seed(&args(&["--seed", "--pretty"]), 7).is_err(), "empty value");
         assert_eq!(seed(&args(&[]), 7).unwrap(), 7);
-        // --exact-margin.
-        assert!(exact_margin(&args(&["--exact-margin", "-1"]))
-            .unwrap_err()
-            .contains("finite non-negative"));
-        assert!(exact_margin(&args(&["--exact-margin", "inf"]))
-            .unwrap_err()
-            .contains("finite non-negative"));
-        assert!(exact_margin(&args(&["--exact-margin", "wide"]))
-            .unwrap_err()
-            .contains("cannot parse"));
-        assert_eq!(exact_margin(&args(&[])).unwrap(), 1e-9);
-        assert_eq!(exact_margin(&args(&["--exact-margin", "0"])).unwrap(), 0.0);
-        // --kernel.
-        assert!(kernel_flag(&args(&["--kernel", "simd"])).unwrap_err().contains("batch|scalar"));
+        // --exact-margin / --overhead-per-column.
+        for key in ["exact-margin", "overhead-per-column"] {
+            let flag = format!("--{key}");
+            for bad in ["-1", "inf", "NaN"] {
+                let err = non_negative(&args(&[&flag, bad]), key, 0.0).unwrap_err();
+                assert!(err.contains("finite non-negative"), "{err}");
+            }
+            let err = non_negative(&args(&[&flag, "O.5"]), key, 0.0).unwrap_err();
+            assert!(err.contains("cannot parse"), "{err}");
+            assert_eq!(non_negative(&args(&[]), key, 1e-9).unwrap(), 1e-9);
+            assert_eq!(non_negative(&args(&[&flag, "0"]), key, 1e-9).unwrap(), 0.0);
+        }
+        // --horizon / --sim-horizon.
+        for bad in ["0", "-3", "inf", "1OO"] {
+            assert!(horizon_factor(&args(&["--horizon", bad]), "horizon", 100.0).is_err(), "{bad}");
+        }
+        assert_eq!(horizon_factor(&args(&[]), "sim-horizon", 50.0).unwrap(), 50.0);
+        // --figure.
+        assert!(figures("fig9z").unwrap_err().contains("fig3a|fig3b|fig4a|fig4b|all"));
+        assert_eq!(figures("all").unwrap().len(), 4);
+        assert_eq!(figures("fig4b").unwrap()[0].id, "fig4b");
         // --listen / --connect endpoints.
         for bad in ["ftp://h:1", "tcp://:7411", "tcp://host", "unix://", "127.0.0.1:7411"] {
             let err = listen_endpoint(&args(&["--listen", bad])).unwrap_err();

@@ -1,14 +1,15 @@
 //! Subcommand implementations.
 
 use crate::args::{
-    artifact_target, cache_entries, connect_endpoint, exact_margin, kernel_flag, listen_endpoint,
-    metrics_target, parsed_flag, positive_count, write_metrics, ArtifactFormat,
+    artifact_target, cache_entries, connect_endpoint, figures, horizon_factor, listen_endpoint,
+    metrics_target, non_negative, parsed_flag, positive_count, seed, write_metrics, Args,
+    ArtifactFormat, DEFAULT_SEED,
 };
 use crate::io::{device_from, taskset_from};
 use crate::ExitCode;
 use fpga_rt_analysis::{AnyOfTest, DpTest, Gn1Test, Gn2Test, NecessaryTest, SchedTest, TestReport};
-use fpga_rt_exp::cli::Args;
-use fpga_rt_exp::sweep::{analysis_evaluators_for, run_pool_sweep, PoolSweepConfig};
+use fpga_rt_exp::study::{Study, StudyConfig};
+use fpga_rt_exp::sweep::{analysis_evaluators, run_pool_sweep, PoolSweepConfig};
 use fpga_rt_gen::{FigureWorkload, TasksetSpec, UtilizationBins};
 use fpga_rt_model::{Fpga, Rat64, TaskSet};
 use fpga_rt_service::{
@@ -159,8 +160,8 @@ pub fn simulate(args: &Args, out: &mut dyn Write) -> CmdResult {
     let mut config = SimConfig::default()
         .with_scheduler(scheduler)
         .with_placement(placement)
-        .with_horizon(Horizon::PeriodsOfTmax(args.get("horizon", 100.0)));
-    let oh = args.get("overhead-per-column", 0.0f64);
+        .with_horizon(Horizon::PeriodsOfTmax(horizon_factor(args, "horizon", 100.0)?));
+    let oh = non_negative(args, "overhead-per-column", 0.0)?;
     if oh > 0.0 {
         config = config.with_overhead(ReconfigOverhead::PerColumn(oh));
     }
@@ -236,7 +237,8 @@ fn size_rows<T: fpga_rt_model::Time>(
 /// `--exact`) exact rational arithmetic.
 pub fn size(args: &Args, out: &mut dyn Write) -> CmdResult {
     let ts = taskset_from(args)?;
-    let max = args.get("max", 1000u32);
+    let max = positive_count(args, "max")?.unwrap_or(1000);
+    let max = u32::try_from(max).map_err(|_| format!("--max {max} is too large"))?;
     let lo = ts.amax();
 
     let rows = if args.has("exact") {
@@ -268,10 +270,10 @@ pub fn size(args: &Args, out: &mut dyn Write) -> CmdResult {
 pub fn generate(args: &Args, out: &mut dyn Write) -> CmdResult {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    let seed = crate::args::seed(args, 42)?;
+    let seed = seed(args, 42)?;
     let spec = match args.flags.get("figure") {
         Some(id) => FigureWorkload::by_id(id).ok_or_else(|| format!("unknown figure {id:?}"))?.spec,
-        None => TasksetSpec::unconstrained(args.get("n", 10usize)),
+        None => TasksetSpec::unconstrained(positive_count(args, "n")?.unwrap_or(10)),
     };
     let ts = spec.generate(&mut StdRng::seed_from_u64(seed));
     let json = if args.has("pretty") {
@@ -284,19 +286,12 @@ pub fn generate(args: &Args, out: &mut dyn Write) -> CmdResult {
     Ok(ExitCode::Accepted)
 }
 
-/// `fpga-rt tables` — the paper's Tables 1–3 verdict matrix (each case is
+/// `fpga-rt tables` — the paper's Tables 1–3 verdict matrix with a
+/// simulation cross-check, and the Table 3 GN2 λ walkthrough (each case is
 /// evaluated in f64 *and* exact arithmetic, hence the overflow guard).
 pub fn tables(out: &mut dyn Write) -> CmdResult {
-    let rendered = catch_rat64_overflow(|| {
-        fpga_rt_exp::tables::paper_tables()
-            .iter()
-            .map(fpga_rt_exp::tables::render_table_case)
-            .collect::<Vec<_>>()
-    })?;
-    for case in rendered {
-        let _ = write!(out, "{case}");
-        let _ = writeln!(out);
-    }
+    let report = catch_rat64_overflow(fpga_rt_exp::tables::render_report)?;
+    let _ = write!(out, "{report}");
     Ok(ExitCode::Accepted)
 }
 
@@ -306,9 +301,7 @@ pub fn tables(out: &mut dyn Write) -> CmdResult {
 ///
 /// Stdout (the aligned text table) and the `--out` file are byte-identical
 /// for every `--workers` value at a fixed seed — CI diffs a 1-worker run
-/// against a 4-worker run to enforce this — and for both `--kernel`
-/// values (the batch kernel is a bit-identical re-packing of the scalar
-/// tests).
+/// against a 4-worker run to enforce this.
 pub fn sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
     let figure = args.flags.get("figure").map(String::as_str).unwrap_or("fig3a");
     let workload = FigureWorkload::by_id(figure)
@@ -318,8 +311,7 @@ pub fn sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
         return Err("--bins must be ≥ 1".into());
     }
     let per_bin = positive_count(args, "per-bin")?.unwrap_or(200);
-    let seed = crate::args::seed(args, fpga_rt_exp::cli::DEFAULT_SEED)?;
-    let kernel = kernel_flag(args)?;
+    let seed = seed(args, DEFAULT_SEED)?;
     let deterministic = args.has("deterministic");
     let out_target = artifact_target(args, "out", &[ArtifactFormat::Json, ArtifactFormat::Csv])?;
     let (metrics, obs) = metrics_target(args, deterministic)?;
@@ -328,7 +320,7 @@ pub fn sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
     config.bins = UtilizationBins::new(0.0, 1.0, bins);
     config.workers = positive_count(args, "workers")?.unwrap_or(0);
     config.obs = obs.clone();
-    let outcome = run_pool_sweep(&config, &analysis_evaluators_for(kernel));
+    let outcome = run_pool_sweep(&config, &analysis_evaluators());
 
     let _ = write!(out, "{}", fpga_rt_exp::output::render_text(&outcome.result));
     if outcome.exhausted_units > 0 {
@@ -385,7 +377,7 @@ pub fn sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
 /// conforms, 1 on any soundness violation.
 pub fn conform(args: &Args, out: &mut dyn Write) -> CmdResult {
     use fpga_rt_conform::{
-        paper_conform_evaluators_for, render_csv_multi, render_text, run_conform, run_twod_bridge,
+        paper_conform_evaluators, render_csv_multi, render_text, run_conform, run_twod_bridge,
         ConformConfig, ConformReport, TwodBridgeConfig,
     };
 
@@ -394,13 +386,9 @@ pub fn conform(args: &Args, out: &mut dyn Write) -> CmdResult {
         return Err("--bins must be ≥ 1".into());
     }
     let per_bin = positive_count(args, "per-bin")?.unwrap_or(100);
-    let seed = crate::args::seed(args, fpga_rt_exp::cli::DEFAULT_SEED)?;
+    let seed = seed(args, DEFAULT_SEED)?;
     let workers = positive_count(args, "workers")?.unwrap_or(0);
-    let kernel = kernel_flag(args)?;
-    let sim_horizon = parsed_flag(args, "sim-horizon", 50.0f64)?;
-    if !(sim_horizon.is_finite() && sim_horizon > 0.0) {
-        return Err(format!("--sim-horizon must be a positive factor, got {sim_horizon}"));
-    }
+    let sim_horizon = horizon_factor(args, "sim-horizon", 50.0)?;
     let deterministic = args.has("deterministic");
 
     if args.has("twod") {
@@ -414,14 +402,6 @@ pub fn conform(args: &Args, out: &mut dyn Write) -> CmdResult {
                      population with --samples"
                 ));
             }
-        }
-        // Same policy for --kernel: the bridge does not thread a kernel
-        // choice, so accepting the flag would pretend a scalar
-        // cross-check happened when it did not.
-        if args.has("kernel") {
-            return Err("--kernel applies to the 1-D mode; --twod always uses the \
-                 engine's default evaluators"
-                .into());
         }
         // The bridge does not thread the telemetry registry; accepting the
         // flag would write an empty metrics artifact.
@@ -475,12 +455,7 @@ pub fn conform(args: &Args, out: &mut dyn Write) -> CmdResult {
             .into());
     }
     let figure = args.flags.get("figure").map(String::as_str).unwrap_or("all");
-    let workloads: Vec<FigureWorkload> = if figure == "all" {
-        FigureWorkload::all()
-    } else {
-        vec![FigureWorkload::by_id(figure)
-            .ok_or_else(|| format!("unknown figure {figure:?} (fig3a|fig3b|fig4a|fig4b|all)"))?]
-    };
+    let workloads = figures(figure)?;
 
     let out_target = artifact_target(args, "out", &[ArtifactFormat::Json, ArtifactFormat::Csv])?;
     let (metrics, obs) = metrics_target(args, deterministic)?;
@@ -496,7 +471,7 @@ pub fn conform(args: &Args, out: &mut dyn Write) -> CmdResult {
         // One shared registry across the figure loop, so per-figure
         // counters accumulate into a single artifact.
         config.obs = obs.clone();
-        let outcome = run_conform(&config, paper_conform_evaluators_for(kernel));
+        let outcome = run_conform(&config, paper_conform_evaluators());
         let _ = write!(out, "{}", render_text(&outcome.report));
         exhausted += outcome.exhausted_units;
         failed += outcome.failed_units;
@@ -542,6 +517,45 @@ pub fn conform(args: &Args, out: &mut dyn Write) -> CmdResult {
     Ok(if violations == 0 { ExitCode::Accepted } else { ExitCode::Rejected })
 }
 
+/// The flags `fpga-rt study` takes; any other flag is a usage error.
+const STUDY_FLAGS: [&str; 5] = ["figure", "per-bin", "seed", "workers", "sim-horizon"];
+
+/// `fpga-rt study <name>` — one of the seven studies of
+/// [`fpga_rt_exp::study`] at its default figure and population unless
+/// `--figure` / `--per-bin` say otherwise. Stdout is byte-identical for
+/// every `--workers` value at a fixed seed; CI diffs it against the
+/// committed goldens under `crates/cli/testdata/study/`.
+pub fn study(args: &Args, out: &mut dyn Write) -> CmdResult {
+    let names = || Study::ALL.map(Study::name).join("|");
+    let study = match args.positional.as_slice() {
+        [name] => {
+            Study::by_name(name).ok_or_else(|| format!("unknown study {name:?} ({})", names()))?
+        }
+        _ => return Err(format!("study expects exactly one name ({})", names())),
+    };
+    if let Some(flag) = args.flags.keys().filter(|k| !STUDY_FLAGS.contains(&k.as_str())).min() {
+        return Err(format!("--{flag} is not a study flag (--{})", STUDY_FLAGS.join(", --")));
+    }
+    if study == Study::Twod && args.has("figure") {
+        return Err("--figure does not apply to `study twod`, which draws 2-D tasksets".into());
+    }
+    if study == Study::Ablations && args.has("sim-horizon") {
+        return Err(
+            "--sim-horizon does not apply to `study ablations`, which simulates nothing".into()
+        );
+    }
+
+    let mut config = StudyConfig::new(study, seed(args, DEFAULT_SEED)?);
+    if let Some(spec) = args.flags.get("figure") {
+        config.figures = figures(spec)?;
+    }
+    config.per_bin = positive_count(args, "per-bin")?.unwrap_or(config.per_bin);
+    config.workers = positive_count(args, "workers")?.unwrap_or(0);
+    config.sim_horizon = horizon_factor(args, "sim-horizon", config.sim_horizon)?;
+    let _ = write!(out, "{}", study.run(&config));
+    Ok(ExitCode::Accepted)
+}
+
 /// `fpga-rt serve` — the online admission-control service. The default
 /// `--listen stdio` transport reads JSONL requests on stdin (or `--input
 /// FILE`) and writes one JSONL response per request on stdout; `--listen
@@ -556,7 +570,7 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> CmdResult {
         shards: positive_count(args, "shards")?.unwrap_or(1).min(u32::MAX as usize) as u32,
         workers: positive_count(args, "workers")?.unwrap_or(0),
         batch: positive_count(args, "batch")?.unwrap_or(64),
-        exact_margin: exact_margin(args)?,
+        exact_margin: non_negative(args, "exact-margin", 1e-9)?,
         max_denominator: 1_000_000,
         deterministic: args.has("deterministic"),
         cache: cache_entries(args)?,
@@ -689,7 +703,7 @@ pub fn loadgen(args: &Args, out: &mut dyn Write) -> CmdResult {
         .unwrap_or(config.rounds as usize)
         .min(u32::MAX as usize) as u32;
     config.workers = positive_count(args, "workers")?.unwrap_or(0);
-    config.seed = crate::args::seed(args, fpga_rt_exp::cli::DEFAULT_SEED)?;
+    config.seed = seed(args, DEFAULT_SEED)?;
     config.deterministic = args.has("deterministic");
     config.cache = cache_entries(args)?;
 
@@ -1172,75 +1186,26 @@ mod tests {
         assert!(text.contains("8 conns, 64 sent, 64 received, 0 dropped, 0 reordered"), "{text}");
     }
 
-    /// The `--kernel` escape hatch: scalar and batch runs are
-    /// byte-identical on stdout and in the artifact, and garbage values
-    /// are refused.
+    /// `fpga-rt study` takes exactly one known name and its five flags;
+    /// a flag the study would ignore is refused, not dropped.
     #[test]
-    fn sweep_kernels_are_byte_identical() {
-        let dir = std::env::temp_dir().join("fpga-rt-cli-cmds");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut transcripts = Vec::new();
-        for kernel in ["batch", "scalar"] {
-            let path = dir.join(format!("sweep-k-{kernel}.json"));
-            let out_path = path.to_string_lossy().into_owned();
-            let mut buf = Vec::new();
-            let code = sweep(
-                &args(&[
-                    "--figure",
-                    "fig3a",
-                    "--bins",
-                    "3",
-                    "--per-bin",
-                    "8",
-                    "--seed",
-                    "7",
-                    "--kernel",
-                    kernel,
-                    "--out",
-                    &out_path,
-                ]),
-                &mut buf,
-            )
-            .unwrap();
-            assert_eq!(code, ExitCode::Accepted);
-            transcripts.push((String::from_utf8(buf).unwrap(), std::fs::read(&path).unwrap()));
+    fn study_rejects_bad_names_and_flags() {
+        for (line, expect) in [
+            (&["--per-bin", "10"][..], "exactly one name"),
+            (&["figures", "ablations"], "exactly one name"),
+            (&["sweep"], "unknown study"),
+            (&["twod", "--sets", "10"], "--sets is not a study flag"),
+            (&["placement", "--write"], "--write is not a study flag"),
+            (&["twod", "--figure", "fig3a"], "2-D tasksets"),
+            (&["ablations", "--sim-horizon", "20"], "simulates nothing"),
+            (&["figures", "--figure", "fig9z"], "unknown figure"),
+            (&["figures", "--per-bin", "0"], "must be ≥ 1"),
+            (&["release", "--sim-horizon", "-1"], "positive factor"),
+            (&["overhead", "--seed", "12e3"], "unsigned 64-bit"),
+        ] {
+            let err = study(&args(line), &mut Vec::new()).unwrap_err();
+            assert!(err.contains(expect), "{line:?}: {err}");
         }
-        assert_eq!(transcripts[0].0, transcripts[1].0, "stdout differs across kernels");
-        assert_eq!(transcripts[0].1, transcripts[1].1, "--out JSON differs across kernels");
-        let err = sweep(&args(&["--kernel", "simd"]), &mut Vec::new()).unwrap_err();
-        assert!(err.contains("batch|scalar"), "{err}");
-        let err = conform(&args(&["--kernel", "simd"]), &mut Vec::new()).unwrap_err();
-        assert!(err.contains("batch|scalar"), "{err}");
-    }
-
-    /// Same contract for conform at smoke scale.
-    #[test]
-    fn conform_kernels_are_byte_identical() {
-        let mut transcripts = Vec::new();
-        for kernel in ["batch", "scalar"] {
-            let mut buf = Vec::new();
-            let code = conform(
-                &args(&[
-                    "--figure",
-                    "fig3a",
-                    "--bins",
-                    "2",
-                    "--per-bin",
-                    "4",
-                    "--sim-horizon",
-                    "15",
-                    "--seed",
-                    "7",
-                    "--kernel",
-                    kernel,
-                ]),
-                &mut buf,
-            )
-            .unwrap();
-            assert_eq!(code, ExitCode::Accepted);
-            transcripts.push(String::from_utf8(buf).unwrap());
-        }
-        assert_eq!(transcripts[0], transcripts[1], "stdout differs across kernels");
     }
 
     #[test]
@@ -1327,10 +1292,9 @@ mod tests {
         assert_eq!(cache_entries(&args(&["--cache", "64"])).unwrap(), Some(64));
     }
 
-    /// Satellite bugfix: every seed-consuming subcommand routes `--seed`
-    /// through the shared checked helper. `generate --seed 12e3` used to
-    /// silently emit the default-seed population (`Args::get` swallows
-    /// parse failures); now it is a usage error across the board.
+    /// Every seed-consuming subcommand routes `--seed` through the shared
+    /// checked parser: `generate --seed 12e3` is a usage error, not the
+    /// default-seed population.
     #[test]
     fn garbage_seeds_are_rejected_by_every_subcommand() {
         for (name, result) in [
@@ -1338,6 +1302,7 @@ mod tests {
             ("sweep", sweep(&args(&["--seed", "12e3"]), &mut Vec::new())),
             ("conform", conform(&args(&["--seed", "12e3"]), &mut Vec::new())),
             ("loadgen", loadgen(&args(&["--seed", "12e3"]), &mut Vec::new())),
+            ("study", study(&args(&["figures", "--seed", "12e3"]), &mut Vec::new())),
         ] {
             let err = result.unwrap_err();
             assert!(err.contains("unsigned 64-bit"), "{name}: {err}");
@@ -1470,8 +1435,6 @@ mod tests {
         let err = conform(&args(&["--twod", "--per-bin", "2000"]), &mut Vec::new()).unwrap_err();
         assert!(err.contains("--samples"), "{err}");
         assert!(conform(&args(&["--twod", "--figure", "fig3a"]), &mut Vec::new()).is_err());
-        let err = conform(&args(&["--twod", "--kernel", "scalar"]), &mut Vec::new()).unwrap_err();
-        assert!(err.contains("1-D mode"), "{err}");
         let err = conform(&args(&["--samples", "100"]), &mut Vec::new()).unwrap_err();
         assert!(err.contains("--twod"), "{err}");
     }

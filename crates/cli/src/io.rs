@@ -1,5 +1,6 @@
 //! Taskset file I/O for the CLI.
 
+use crate::args::{positive_count, Args};
 use fpga_rt_model::{Fpga, TaskSet};
 
 /// Load a `TaskSet<f64>` from a JSON file (the serde wire form: an array of
@@ -9,17 +10,16 @@ pub fn load_taskset(path: &str) -> Result<TaskSet<f64>, String> {
     serde_json::from_str(&text).map_err(|e| format!("invalid taskset in {path}: {e}"))
 }
 
-/// Parse the `--columns` flag into a device.
-pub fn device_from(args: &fpga_rt_exp::cli::Args) -> Result<Fpga, String> {
-    let columns: u32 = args.get("columns", 0);
-    if columns == 0 {
-        return Err("--columns N (≥1) is required".into());
-    }
+/// Parse the required `--columns` flag into a device.
+pub fn device_from(args: &Args) -> Result<Fpga, String> {
+    let columns = positive_count(args, "columns")?.ok_or("--columns N (≥1) is required")?;
+    let columns =
+        u32::try_from(columns).map_err(|_| format!("--columns {columns} is too large"))?;
     Fpga::new(columns).map_err(|e| e.to_string())
 }
 
 /// Resolve the `--taskset` flag and load the file.
-pub fn taskset_from(args: &fpga_rt_exp::cli::Args) -> Result<TaskSet<f64>, String> {
+pub fn taskset_from(args: &Args) -> Result<TaskSet<f64>, String> {
     let path = args
         .flags
         .get("taskset")
@@ -31,7 +31,6 @@ pub fn taskset_from(args: &fpga_rt_exp::cli::Args) -> Result<TaskSet<f64>, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpga_rt_exp::cli::Args;
 
     #[test]
     fn round_trip_through_file() {
@@ -67,6 +66,8 @@ mod tests {
         let args = Args::from_args(["--columns", "10"].iter().map(|s| s.to_string()));
         assert_eq!(device_from(&args).unwrap().columns(), 10);
         let args = Args::from_args(std::iter::empty());
-        assert!(device_from(&args).is_err());
+        assert!(device_from(&args).unwrap_err().contains("is required"));
+        let args = Args::from_args(["--columns", "1O"].iter().map(|s| s.to_string()));
+        assert!(device_from(&args).unwrap_err().contains("positive integer"));
     }
 }

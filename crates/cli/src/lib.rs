@@ -8,7 +8,7 @@ pub(crate) mod args;
 pub mod commands;
 pub mod io;
 
-use fpga_rt_exp::cli::Args;
+pub use args::Args;
 use std::io::Write;
 
 /// Process exit semantics of the tool.
@@ -35,6 +35,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> ExitCode {
         "generate" => commands::generate(&parsed, out),
         "tables" => commands::tables(out),
         "sweep" => commands::sweep(&parsed, out),
+        "study" => commands::study(&parsed, out),
         "conform" => commands::conform(&parsed, out),
         "serve" => commands::serve(&parsed, out),
         "client" => commands::client(&parsed, out),
@@ -60,12 +61,19 @@ pub fn usage() -> String {
      \x20           [--placement free|first-fit|best-fit|worst-fit] [--overhead-per-column X] [--trace]\n\
      \x20 size      --taskset FILE [--max N] [--exact]\n\
      \x20 generate  --n N [--seed S] [--figure fig3a|fig3b|fig4a|fig4b] [--pretty]\n\
-     \x20 tables    (reproduce the paper's Tables 1-3)\n\
+     \x20 tables    (reproduce the paper's Tables 1-3 with a simulation cross-check\n\
+     \x20           and the Table 3 GN2 walkthrough)\n\
      \x20 sweep     [--figure fig3a|fig3b|fig4a|fig4b] [--bins N] [--per-bin M]\n\
      \x20           [--workers W] [--seed S] [--out FILE.json|FILE.csv]\n\
      \x20           [--deterministic] [--metrics-out FILE.json|FILE.txt]\n\
      \x20           (parallel DP/GN1/GN2/AnyOf acceptance-ratio curves;\n\
      \x20           output is byte-identical for any --workers)\n\
+     \x20 study     figures|ablations|placement|overhead|partitioned|release|twod\n\
+     \x20           [--figure fig3a|fig3b|fig4a|fig4b|all] [--per-bin N] [--seed S]\n\
+     \x20           [--workers W] [--sim-horizon F]\n\
+     \x20           (the paper's figures with simulation, the X1-X3 ablations and\n\
+     \x20           the X5 placement, X6 overhead, X7 partitioned, X10 2-D and\n\
+     \x20           X11 release-pattern studies; byte-identical for any --workers)\n\
      \x20 conform   [--figure fig3a|fig3b|fig4a|fig4b|all] [--bins N] [--per-bin M]\n\
      \x20           [--sim-horizon F] [--workers W] [--seed S] [--out FILE.json|FILE.csv]\n\
      \x20           [--deterministic] [--metrics-out FILE.json|FILE.txt]\n\
@@ -137,5 +145,23 @@ mod tests {
         assert_eq!(code, ExitCode::Accepted);
         assert!(out.contains("Table 3"));
         assert!(out.contains("accept"));
+    }
+
+    /// A flag value that does not parse is a usage error (exit 2), never
+    /// the default: `O.5` once ran with zero overhead and exited 0.
+    #[test]
+    fn unparseable_overhead_is_a_usage_error() {
+        let dir = std::env::temp_dir().join("fpga-rt-cli-lib");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("overhead.json");
+        std::fs::write(&path, r#"[{"exec":4.0,"deadline":5.0,"period":5.0,"area":6}]"#).unwrap();
+        let path = path.to_string_lossy();
+        let line = ["simulate", "--taskset", &path, "--columns", "10", "--overhead-per-column"];
+        let (code, _) = run_str(&[&line[..], &["O.5"]].concat());
+        assert!(matches!(code, ExitCode::Error(msg) if msg.contains("overhead-per-column")));
+        let (code, _) = run_str(&line[..5]);
+        assert_eq!(code, ExitCode::Accepted);
+        let (code, _) = run_str(&[&line[..], &["0.5"]].concat());
+        assert_eq!(code, ExitCode::Rejected, "the parsed overhead causes a miss");
     }
 }

@@ -9,6 +9,8 @@
 //! fpga-rt size     --taskset set.json [--max 1000] [--exact]
 //! fpga-rt generate --n 10 --seed 42 [--figure fig3b] [--pretty]
 //! fpga-rt tables
+//! fpga-rt study    figures|ablations|placement|overhead|partitioned|release|twod
+//!                  [--figure fig3b|all] [--per-bin 10] [--seed S] [--workers W]
 //! fpga-rt serve    --columns 100 [--shards 4] [--batch 64] [--sessions 4096]
 //!                  [--cache 1024|off] [--deterministic]
 //! ```
@@ -16,6 +18,7 @@
 //! Tasksets are JSON arrays of `{"exec": C, "deadline": D, "period": T,
 //! "area": A}` objects (the serde form of `TaskSet<f64>`). Exit codes:
 //! 0 = accepted / no miss, 1 = rejected / miss, 2 = usage or input error.
+//! `fpga-rt help` lists every subcommand and flag.
 
 use fpga_rt_cli::{run, ExitCode};
 

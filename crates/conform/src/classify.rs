@@ -21,9 +21,7 @@
 //! finite horizon, an upper bound on true schedulability (the same caveat
 //! as the paper's own simulation curves).
 
-use fpga_rt_analysis::{
-    AnalysisKernel, AnalysisSeries, AnyOfTest, DpTest, Gn1Test, Gn2Test, SchedTest,
-};
+use fpga_rt_analysis::{AnalysisSeries, AnyOfTest, DpTest, Gn1Test, Gn2Test, SchedTest};
 use fpga_rt_exp::Evaluator;
 use fpga_rt_sim::SchedulerKind;
 use serde::{Deserialize, Serialize};
@@ -149,8 +147,8 @@ pub fn paper_conform_evaluators() -> Vec<ConformEvaluator> {
 }
 
 /// The same four series as scalar closures over the test implementations —
-/// the `fpga-rt conform --kernel scalar` escape hatch. Verdicts (and
-/// therefore whole conformance reports) are byte-identical to
+/// the reference the batch-kernel suite is cross-checked against. Verdicts
+/// (and therefore whole conformance reports) are byte-identical to
 /// [`paper_conform_evaluators`]; asserted by tests.
 pub fn paper_conform_evaluators_scalar() -> Vec<ConformEvaluator> {
     let any = AnyOfTest::paper_suite();
@@ -172,14 +170,6 @@ pub fn paper_conform_evaluators_scalar() -> Vec<ConformEvaluator> {
             series_targets(AnalysisSeries::AnyOf),
         ),
     ]
-}
-
-/// The paper suite for an explicit kernel choice.
-pub fn paper_conform_evaluators_for(kernel: AnalysisKernel) -> Vec<ConformEvaluator> {
-    match kernel {
-        AnalysisKernel::Batch => paper_conform_evaluators(),
-        AnalysisKernel::Scalar => paper_conform_evaluators_scalar(),
-    }
 }
 
 #[cfg(test)]

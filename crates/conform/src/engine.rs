@@ -496,8 +496,8 @@ mod tests {
         }
     }
 
-    /// The kernel escape hatch can never change an artifact: the batch
-    /// and scalar paper suites produce byte-identical reports.
+    /// The batch kernel can never change an artifact: the batch and
+    /// scalar paper suites produce byte-identical reports.
     #[test]
     fn batch_and_scalar_kernels_produce_identical_reports() {
         use crate::classify::paper_conform_evaluators_scalar;

@@ -30,8 +30,9 @@
 //! **zero violations over ≥10 000 tasksets across all four figures**.
 //!
 //! Entry points: [`run_conform`] (1-D), [`run_twod_bridge`] (the 2-D
-//! column-projection bridge), the `fpga-rt conform` CLI subcommand, the
-//! `conform_study` binary, and the `conform_throughput` bench.
+//! column-projection bridge), the `fpga-rt conform` CLI subcommand
+//! (`--figure all` for every figure, `--twod` for the bridge; exit 1 on a
+//! violation, 2 on lost units), and the `conform_throughput` bench.
 //!
 //! ```
 //! use fpga_rt_conform::{paper_conform_evaluators, run_conform, ConformConfig};
@@ -56,8 +57,8 @@ pub mod render;
 pub mod twod;
 
 pub use classify::{
-    paper_conform_evaluators, paper_conform_evaluators_for, paper_conform_evaluators_scalar,
-    Classification, ConformEvaluator, SIM_SCHEDULERS,
+    paper_conform_evaluators, paper_conform_evaluators_scalar, Classification, ConformEvaluator,
+    SIM_SCHEDULERS,
 };
 pub use counterexample::{
     capture_miss_evidence, minimize_taskset, minimize_with, Counterexample, ViolationKind,

@@ -1,17 +1,15 @@
-//! Acceptance-ratio sweeps: the machinery behind Figures 3(a)–4(b).
+//! Acceptance ratios: the vocabulary behind Figures 3(a)–4(b).
 //!
-//! A sweep draws `per_bin` tasksets in every utilization bin, runs every
-//! [`Evaluator`] on each taskset, and reports one acceptance-ratio series
-//! per evaluator. Work is sharded across threads by bin × sample with
-//! per-sample deterministic RNG seeding, so results are independent of the
-//! thread count.
+//! A sweep ([`crate::sweep::run_pool_sweep`]) draws `per_bin` tasksets in
+//! every utilization bin, runs every [`Evaluator`] on each taskset, and
+//! reports one acceptance-ratio series per evaluator as a [`SweepResult`].
+//! Every (bin, sample) draws from its own [`sample_seed`] stream, so the
+//! curves are independent of how the work is scheduled.
 
 use fpga_rt_analysis::{AnalysisSeries, BatchAnalyzer, SchedTest, ScratchSpace};
-use fpga_rt_gen::{BinnedGenerator, BinningStrategy, FigureWorkload, UtilizationBins};
 use fpga_rt_model::{Fpga, TaskSet};
 use fpga_rt_sim::{simulate_f64, Horizon, SchedulerKind, SimConfig};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Shared accept/reject predicate.
@@ -129,37 +127,6 @@ pub fn standard_evaluators(sim_horizon_factor: f64) -> Vec<Evaluator> {
     ]
 }
 
-/// Sweep parameters.
-#[derive(Debug, Clone)]
-pub struct SweepConfig {
-    /// Which figure workload to draw from.
-    pub workload: FigureWorkload,
-    /// Utilization bins (x-axis).
-    pub bins: UtilizationBins,
-    /// Tasksets per bin (the paper uses ≥10 000 per experiment group).
-    pub per_bin: usize,
-    /// Base RNG seed; every (bin, sample) derives its own stream.
-    pub seed: u64,
-    /// Bin-filling strategy.
-    pub strategy: BinningStrategy,
-    /// Worker threads (0 = all available).
-    pub threads: usize,
-}
-
-impl SweepConfig {
-    /// Reasonable defaults for a workload: paper bins, scaled strategy.
-    pub fn new(workload: FigureWorkload, per_bin: usize, seed: u64) -> Self {
-        SweepConfig {
-            workload,
-            bins: UtilizationBins::paper_default(),
-            per_bin,
-            seed,
-            strategy: workload.strategy,
-            threads: 0,
-        }
-    }
-}
-
 /// One x/y point of a series.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SeriesPoint {
@@ -210,9 +177,9 @@ impl SweepResult {
 }
 
 /// Derive the RNG seed for sample `sample` of bin `bin` from the sweep's
-/// base seed — stable regardless of scheduling, shared by this module's
-/// thread-sharded runner and the pool-backed engine in [`crate::sweep`] so
-/// that both produce *identical* curves for the same configuration.
+/// base seed — stable regardless of scheduling, so the sweep and
+/// conformance engines produce identical populations for any worker
+/// count.
 pub fn sample_seed(base: u64, bin: usize, sample: usize) -> u64 {
     // SplitMix64 over a combined index: cheap, well-distributed.
     let mut z = base
@@ -224,147 +191,10 @@ pub fn sample_seed(base: u64, bin: usize, sample: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Run a sweep. Deterministic for a given `config` (independent of
-/// `threads`); progress is reported through `progress` as bins complete
-/// (may be `None`).
-pub fn run_sweep(
-    config: &SweepConfig,
-    evaluators: &[Evaluator],
-    progress: Option<&dyn Fn(usize, usize)>,
-) -> SweepResult {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let device = config.workload.device();
-    let generator =
-        BinnedGenerator::new(config.workload.spec, config.workload.device_columns, config.bins)
-            .with_strategy(config.strategy);
-
-    let n_bins = config.bins.n;
-    let n_eval = evaluators.len();
-    let total_units = n_bins * config.per_bin;
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        config.threads
-    };
-
-    // counts[bin][evaluator] = (samples, accepted)
-    let mut counts = vec![vec![(0usize, 0usize); n_eval]; n_bins];
-    let next_unit = AtomicUsize::new(0);
-    let done_units = AtomicUsize::new(0);
-
-    let partials: Vec<Vec<Vec<(usize, usize)>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let generator = &generator;
-                let next_unit = &next_unit;
-                let done_units = &done_units;
-                let device = &device;
-                scope.spawn(move || {
-                    let mut local = vec![vec![(0usize, 0usize); n_eval]; n_bins];
-                    // One scratch per worker: analysis-kind evaluators run
-                    // allocation-free through the batch kernel.
-                    let mut scratch = ScratchSpace::new();
-                    loop {
-                        let unit = next_unit.fetch_add(1, Ordering::Relaxed);
-                        if unit >= total_units {
-                            break;
-                        }
-                        let bin = unit / config.per_bin;
-                        let sample = unit % config.per_bin;
-                        let mut rng = StdRng::seed_from_u64(sample_seed(config.seed, bin, sample));
-                        if let Some(ts) = generator.sample_in_bin(bin, &mut rng) {
-                            for (e, ev) in evaluators.iter().enumerate() {
-                                let ok = ev.accepts_with(&ts, device, &mut scratch);
-                                local[bin][e].0 += 1;
-                                if ok {
-                                    local[bin][e].1 += 1;
-                                }
-                            }
-                        }
-                        done_units.fetch_add(1, Ordering::Relaxed);
-                    }
-                    local
-                })
-            })
-            .collect();
-        let partials: Vec<_> = handles.into_iter().map(|h| h.join().expect("worker")).collect();
-        if let Some(p) = progress {
-            p(done_units.load(Ordering::Relaxed), total_units);
-        }
-        partials
-    });
-
-    for local in partials {
-        for (bin, row) in local.into_iter().enumerate() {
-            for (e, (s, a)) in row.into_iter().enumerate() {
-                counts[bin][e].0 += s;
-                counts[bin][e].1 += a;
-            }
-        }
-    }
-
-    let series = evaluators
-        .iter()
-        .enumerate()
-        .map(|(e, ev)| AcceptanceSeries {
-            name: ev.name.clone(),
-            points: (0..n_bins)
-                .map(|bin| SeriesPoint {
-                    utilization: config.bins.center(bin),
-                    samples: counts[bin][e].0,
-                    accepted: counts[bin][e].1,
-                })
-                .collect(),
-        })
-        .collect();
-
-    SweepResult {
-        workload_id: config.workload.id.to_string(),
-        caption: config.workload.caption.to_string(),
-        series,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fpga_rt_analysis::{AnyOfTest, DpTest, Gn1Test, Gn2Test};
-
-    fn tiny_sweep(threads: usize) -> SweepResult {
-        let mut config = SweepConfig::new(FigureWorkload::fig3a(), 8, 42);
-        config.bins = UtilizationBins::new(0.0, 1.0, 5);
-        config.threads = threads;
-        let evals =
-            vec![Evaluator::from_test(DpTest::default()), Evaluator::from_test(Gn1Test::default())];
-        run_sweep(&config, &evals, None)
-    }
-
-    #[test]
-    fn sweep_is_thread_count_invariant() {
-        let a = tiny_sweep(1);
-        let b = tiny_sweep(4);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sweep_shape_is_sane() {
-        let r = tiny_sweep(2);
-        assert_eq!(r.workload_id, "fig3a");
-        assert_eq!(r.series.len(), 2);
-        for s in &r.series {
-            assert_eq!(s.points.len(), 5);
-            for p in &s.points {
-                assert!(p.samples <= 8);
-                assert!(p.accepted <= p.samples);
-            }
-        }
-        // Acceptance at the lowest utilization must be at least as high as
-        // at the highest (weak monotonicity over a coarse grid).
-        let dp = r.series_named("DP").unwrap();
-        assert!(dp.points[0].ratio() >= dp.points[4].ratio());
-    }
 
     #[test]
     fn simulation_evaluator_runs() {

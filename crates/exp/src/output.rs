@@ -1,4 +1,4 @@
-//! Rendering sweep results as aligned text, markdown and CSV, plus the
+//! Rendering sweep results as aligned text and CSV, plus the
 //! shared buffered cell writers every tabular renderer in the workspace
 //! builds on.
 //!
@@ -179,32 +179,6 @@ pub fn render_text(result: &SweepResult) -> String {
     out.finish()
 }
 
-/// Render a GitHub-flavoured markdown table.
-pub fn render_markdown(result: &SweepResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "### {} — {}\n", result.workload_id, result.caption);
-    let _ = write!(out, "| US/A(H) | samples |");
-    for s in &result.series {
-        let _ = write!(out, " {} |", s.name);
-    }
-    out.push('\n');
-    let _ = write!(out, "|---|---|");
-    for _ in &result.series {
-        let _ = write!(out, "---|");
-    }
-    out.push('\n');
-    let n = result.series.first().map(|s| s.points.len()).unwrap_or(0);
-    for i in 0..n {
-        let p0 = &result.series[0].points[i];
-        let _ = write!(out, "| {:.3} | {} |", p0.utilization, p0.samples);
-        for s in &result.series {
-            let _ = write!(out, " {:.3} |", s.points[i].ratio());
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Render CSV with header `utilization,samples,<series...>`.
 pub fn render_csv(result: &SweepResult) -> String {
     let mut out = CsvWriter::new();
@@ -312,16 +286,6 @@ mod tests {
         w.f64_cell(0.5, 4);
         w.end_row();
         assert_eq!(w.finish(), "plain,\"with,comma\",\"with\"\"quote\",7,0.5000\n");
-    }
-
-    #[test]
-    fn markdown_is_well_formed() {
-        let s = render_markdown(&sample_result());
-        let rows: Vec<&str> = s.lines().filter(|l| l.starts_with('|')).collect();
-        assert_eq!(rows.len(), 4, "header + separator + 2 data rows");
-        for r in &rows {
-            assert_eq!(r.matches('|').count(), 5);
-        }
     }
 
     #[test]

@@ -1,9 +1,5 @@
-//! Pool-backed parallel acceptance-ratio sweep engine.
-//!
-//! [`crate::acceptance::run_sweep`] owns an ad-hoc set of scoped threads;
-//! this module fans the same bin × sample work units across the
-//! workspace-wide deterministic worker pool
-//! ([`fpga_rt_pool::ShardedPool`]) instead, which buys three things:
+//! The sweep engine: acceptance-ratio curves over the workspace-wide
+//! deterministic worker pool ([`fpga_rt_pool::ShardedPool`]).
 //!
 //! * **Scale** — the paper's figures use a handful of ~10 000-taskset
 //!   experiment groups; a pool sweep makes 10–100× larger populations (the
@@ -12,9 +8,8 @@
 //!   batched so memory stays flat.
 //! * **Determinism by construction** — every sample draws its taskset from
 //!   [`crate::acceptance::sample_seed`]`(seed, bin, sample)`, so curves are
-//!   byte-identical across worker counts *and* identical to what the
-//!   scoped-thread runner produces for the same configuration (asserted by
-//!   tests).
+//!   byte-identical across worker counts (asserted by tests and diffed in
+//!   CI).
 //! * **Containment** — a panicking evaluator poisons one work unit
 //!   (counted in [`PoolSweepOutcome::failed_units`]), not the whole sweep.
 //!
@@ -30,15 +25,15 @@
 //! falls back to the per-sample scalar path (with a per-worker
 //! [`ScratchSpace`] so analysis-kind members of a mixed list still ride
 //! the kernel). Both paths produce bit-identical curves — the batch kernel
-//! is a pure re-packing of the scalar tests — so the choice (and the
-//! `fpga-rt sweep --kernel scalar|batch` escape hatch) never shows up in
+//! is a pure re-packing of the scalar tests, checked against
+//! [`analysis_evaluators_scalar`] — so the path never shows up in
 //! artifacts.
 //!
-//! The result reuses [`SweepResult`], so the text/markdown/CSV renderers in
-//! [`crate::output`] and `serde_json` serialization apply unchanged. The
-//! `fpga-rt sweep` CLI subcommand and the `sweep` study binary wrap this
-//! module; `cargo bench -p fpga-rt-bench --bench sweep_throughput` measures
-//! its scaling and the batch-vs-scalar kernel speedup.
+//! The result reuses [`SweepResult`], so the text/CSV renderers in
+//! [`crate::output`] and `serde_json` serialization apply unchanged.
+//! `fpga-rt sweep` and `fpga-rt study` wrap this module;
+//! `cargo bench -p fpga-rt-bench --bench sweep_throughput` measures its
+//! scaling and the batch-vs-scalar kernel speedup.
 //!
 //! ```
 //! use fpga_rt_exp::sweep::{run_pool_sweep, PoolSweepConfig};
@@ -56,9 +51,7 @@
 //! ```
 
 use crate::acceptance::{sample_seed, AcceptanceSeries, Evaluator, SeriesPoint, SweepResult};
-use fpga_rt_analysis::{
-    AnalysisKernel, AnalysisSeries, BatchAnalyzer, BatchVerdicts, ScratchSpace, TaskSetBatch,
-};
+use fpga_rt_analysis::{AnalysisSeries, BatchAnalyzer, BatchVerdicts, ScratchSpace, TaskSetBatch};
 use fpga_rt_gen::{BinnedGenerator, BinningStrategy, FigureWorkload, UtilizationBins};
 use fpga_rt_obs::Obs;
 use fpga_rt_pool::{PoolConfig, ShardedPool};
@@ -123,11 +116,10 @@ impl PoolSweepConfig {
 /// that [`SweepResult`] has no room for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolSweepOutcome {
-    /// The acceptance-ratio curves (same shape as
-    /// [`crate::acceptance::run_sweep`] produces).
+    /// The acceptance-ratio curves.
     pub result: SweepResult,
     /// Work units whose generator exhausted its attempt budget (the bin
-    /// quota is reported short, exactly like the scoped-thread runner).
+    /// quota is reported short).
     pub exhausted_units: usize,
     /// Samples lost to a panicking evaluator (contained by the pool). On
     /// the batch path a panic poisons its whole [`BATCH_SAMPLES`] block,
@@ -188,9 +180,8 @@ pub fn analysis_evaluators() -> Vec<Evaluator> {
 }
 
 /// The same four series as scalar closures over the [`fpga_rt_analysis`]
-/// test implementations — the `--kernel scalar` escape hatch, and the
-/// reference the batch kernel is cross-checked against (byte-identical
-/// curves, asserted by tests).
+/// test implementations — the reference the batch kernel is cross-checked
+/// against (byte-identical curves, asserted by tests).
 pub fn analysis_evaluators_scalar() -> Vec<Evaluator> {
     use fpga_rt_analysis::{AnyOfTest, DpTest, Gn1Test, Gn2Test, SchedTest};
     let any = AnyOfTest::paper_suite();
@@ -200,14 +191,6 @@ pub fn analysis_evaluators_scalar() -> Vec<Evaluator> {
         Evaluator::from_test(Gn2Test::default()),
         Evaluator::new("AnyOf", move |ts, dev| any.is_schedulable(ts, dev)),
     ]
-}
-
-/// The analytic suite for an explicit kernel choice.
-pub fn analysis_evaluators_for(kernel: AnalysisKernel) -> Vec<Evaluator> {
-    match kernel {
-        AnalysisKernel::Batch => analysis_evaluators(),
-        AnalysisKernel::Scalar => analysis_evaluators_scalar(),
-    }
 }
 
 /// Run a sweep over the shared worker pool. Deterministic for a given
@@ -476,8 +459,7 @@ impl SweepTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::acceptance::{run_sweep, SweepConfig};
-    use fpga_rt_analysis::{DpTest, Gn1Test};
+    use fpga_rt_analysis::DpTest;
 
     fn tiny_config(workers: usize) -> PoolSweepConfig {
         let mut config = PoolSweepConfig::new(FigureWorkload::fig3a(), 8, 42);
@@ -498,9 +480,9 @@ mod tests {
         }
     }
 
-    /// The tentpole contract: the batch kernel's curves are byte-identical
-    /// to the scalar evaluators' for the same configuration — the two
-    /// `--kernel` modes can never disagree in an artifact.
+    /// The batch kernel's curves are byte-identical to the scalar
+    /// evaluators' for the same configuration, so the engine's choice of
+    /// path can never show up in an artifact.
     #[test]
     fn batch_kernel_matches_scalar_kernel() {
         for (figure, seed) in [
@@ -511,8 +493,8 @@ mod tests {
             let mut config = PoolSweepConfig::new(figure, 6, seed);
             config.bins = UtilizationBins::new(0.0, 1.0, 4);
             config.workers = 2;
-            let batch = run_pool_sweep(&config, &analysis_evaluators_for(AnalysisKernel::Batch));
-            let scalar = run_pool_sweep(&config, &analysis_evaluators_for(AnalysisKernel::Scalar));
+            let batch = run_pool_sweep(&config, &analysis_evaluators());
+            let scalar = run_pool_sweep(&config, &analysis_evaluators_scalar());
             assert_eq!(batch.result, scalar.result, "{}", figure.id);
             assert_eq!(batch.exhausted_units, scalar.exhausted_units);
         }
@@ -538,17 +520,21 @@ mod tests {
     }
 
     #[test]
-    fn pool_sweep_matches_scoped_thread_runner() {
-        // Same seeds, same generator, same evaluators → identical curves
-        // from both engines.
-        let evals =
-            vec![Evaluator::from_test(DpTest::default()), Evaluator::from_test(Gn1Test::default())];
-        let pooled = run_pool_sweep(&tiny_config(4), &evals);
-        let mut scoped = SweepConfig::new(FigureWorkload::fig3a(), 8, 42);
-        scoped.bins = UtilizationBins::new(0.0, 1.0, 5);
-        scoped.threads = 2;
-        let reference = run_sweep(&scoped, &evals, None);
-        assert_eq!(pooled.result, reference);
+    fn sweep_shape_is_sane() {
+        let r = run_pool_sweep(&tiny_config(2), &analysis_evaluators()).result;
+        assert_eq!(r.workload_id, "fig3a");
+        assert_eq!(r.series.len(), 4);
+        for s in &r.series {
+            assert_eq!(s.points.len(), 5);
+            for p in &s.points {
+                assert!(p.samples <= 8);
+                assert!(p.accepted <= p.samples);
+            }
+        }
+        // Acceptance at the lowest utilization must be at least as high as
+        // at the highest (weak monotonicity over a coarse grid).
+        let dp = r.series_named("DP").unwrap();
+        assert!(dp.points[0].ratio() >= dp.points[4].ratio());
     }
 
     #[test]

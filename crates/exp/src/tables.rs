@@ -1,8 +1,10 @@
 //! Tables 1–3 of the paper: three tasksets, each accepted by exactly one of
 //! DP / GN1 / GN2 on a 10-column device.
 
+use core::fmt::Write as _;
 use fpga_rt_analysis::{DpTest, Gn1Test, Gn2Test, SchedTest};
 use fpga_rt_model::{Fpga, Rat64, TaskSet, Time};
+use fpga_rt_sim::{simulate_f64, Horizon, SchedulerKind, SimConfig};
 use serde::{Deserialize, Serialize};
 
 /// One paper table: the taskset in both numeric representations and the
@@ -89,7 +91,6 @@ pub fn paper_tables() -> Vec<TableCase> {
 /// Render the verdict matrix for one table in both numeric modes, matching
 /// the paper's expected row.
 pub fn render_table_case(case: &TableCase) -> String {
-    use core::fmt::Write as _;
     let dev = table_device();
     let f = VerdictRow::evaluate(&case.taskset, &dev);
     let x = VerdictRow::evaluate(&case.taskset_exact, &dev);
@@ -131,7 +132,6 @@ pub fn render_table_case(case: &TableCase) -> String {
 /// Render the paper's Section-6 GN2 walkthrough for Table 3: every λ
 /// candidate and both conditions per task.
 pub fn render_gn2_walkthrough(ts: &TaskSet<f64>, device: &Fpga) -> String {
-    use core::fmt::Write as _;
     let test = Gn2Test::default();
     let mut out = String::new();
     for k in 0..ts.len() {
@@ -152,6 +152,36 @@ pub fn render_gn2_walkthrough(ts: &TaskSet<f64>, device: &Fpga) -> String {
             );
         }
     }
+    out
+}
+
+/// The `fpga-rt tables` report: each table's verdict matrix with a
+/// simulation cross-check (synchronous release, both schedulers, 200·Tmax),
+/// then the GN2 λ walkthrough for Table 3.
+pub fn render_report() -> String {
+    let dev = table_device();
+    let cases = paper_tables();
+    let mut out = String::new();
+    for case in &cases {
+        out.push_str(&render_table_case(case));
+        for kind in [SchedulerKind::EdfFkf, SchedulerKind::EdfNf] {
+            let name = kind.name();
+            let cfg = SimConfig::default()
+                .with_scheduler(kind)
+                .with_horizon(Horizon::PeriodsOfTmax(200.0));
+            let verdict = match simulate_f64(&case.taskset, &dev, &cfg)
+                .expect("valid taskset")
+                .first_miss()
+            {
+                None => "no miss within 200·Tmax".to_string(),
+                Some(miss) => format!("first miss at t={:.3}", miss.time),
+            };
+            let _ = writeln!(out, "  simulation {name:>8}: {verdict}");
+        }
+        out.push('\n');
+    }
+    out.push_str("GN2 λ walkthrough for Table 3 (paper §6 worked example):\n");
+    out.push_str(&render_gn2_walkthrough(&cases[2].taskset, &dev));
     out
 }
 

@@ -1,8 +1,9 @@
 //! Golden-file replay of a recorded 112-request admission session.
 //!
-//! `testdata/requests.jsonl` is generated by
-//! `cargo run -p fpga-rt-exp --bin admission_study -- --emit-requests --n 100`
-//! and `testdata/responses.golden.jsonl` by piping it through
+//! `testdata/requests.jsonl` is `request_stream(100)` below, pinned byte
+//! for byte by `request_fixture_is_its_generator`; after an intended
+//! change to the generator, rewrite the fixture from that function's
+//! output. `testdata/responses.golden.jsonl` comes from piping it through
 //! `fpga-rt serve --columns 10 --shards 4 --batch 16 --deterministic`
 //! (the CI pipeline re-runs that exact pipe and diffs). The session is
 //! scripted so every cascade tier decides at least one request.
@@ -23,6 +24,98 @@ fn replay(config: &ServeConfig) -> (SessionStats, String) {
     let mut out = Vec::new();
     let stats = serve_session(&mut REQUESTS.as_bytes(), &mut out, config).expect("session runs");
     (stats, String::from_utf8(out).expect("utf-8"))
+}
+
+/// Scripted prologue: drive every cascade tier at least once.
+///
+/// Shards 1–3 replay the paper's Tables 2, 3 and 1 task-by-task; the second
+/// admission of each lands on gn1, gn2 and exact respectively (the first
+/// ones on dp-inc). Shard 0 then hosts protocol-error probes.
+fn prologue(lines: &mut Vec<String>) {
+    let admit = |shard: u32, c: f64, d: f64, t: f64, a: u32| {
+        format!(
+            r#"{{"op":"admit","shard":{shard},"task":{{"exec":{c:?},"deadline":{d:?},"period":{t:?},"area":{a}}}}}"#
+        )
+    };
+    // Table 2 → gn1 decides the second admission.
+    lines.push(admit(1, 4.50, 8.0, 8.0, 3));
+    lines.push(admit(1, 8.00, 9.0, 9.0, 5));
+    // Table 3 → gn2.
+    lines.push(admit(2, 2.10, 5.0, 5.0, 7));
+    lines.push(admit(2, 2.00, 7.0, 7.0, 7));
+    // Table 1 → the second admission sits exactly on the DP bound: exact.
+    lines.push(admit(3, 1.26, 7.0, 7.0, 9));
+    lines.push(admit(3, 0.95, 5.0, 5.0, 6));
+    // Per-task margins for the knife-edge shard.
+    lines.push(r#"{"op":"query","shard":3,"margins":true}"#.to_string());
+    // Protocol-level errors: stale handle, unknown op, invalid and
+    // oversized tasks, and one malformed line.
+    lines.push(r#"{"op":"release","shard":0,"handle":40}"#.to_string());
+    lines.push(r#"{"op":"warp","shard":0}"#.to_string());
+    lines.push(
+        r#"{"op":"admit","shard":0,"task":{"exec":-1.0,"deadline":5.0,"period":5.0,"area":2}}"#
+            .to_string(),
+    );
+    lines.push(
+        r#"{"op":"admit","shard":0,"task":{"exec":1.0,"deadline":5.0,"period":5.0,"area":99}}"#
+            .to_string(),
+    );
+    lines.push("oops not json".to_string());
+}
+
+/// Deterministic churn: light admissions (guaranteed accepted on a
+/// 10-column device at ≤ 6 outstanding), periodic releases of the oldest
+/// task, periodic queries, and occasional gross-overload probes.
+fn churn(lines: &mut Vec<String>, n: usize) {
+    let mut outstanding: Vec<u64> = Vec::new();
+    let mut next_handle: u64 = 0;
+    for r in 0..n {
+        if r % 10 == 9 {
+            lines.push(r#"{"op":"query","shard":0}"#.to_string());
+            continue;
+        }
+        if r % 17 == 13 {
+            // Gross overload: rejected by the whole cascade (tier gn2).
+            lines.push(
+                r#"{"op":"admit","shard":0,"task":{"exec":4.9,"deadline":5.0,"period":5.0,"area":9}}"#
+                    .to_string(),
+            );
+            continue;
+        }
+        if outstanding.len() >= 6 {
+            let oldest = outstanding.remove(0);
+            lines.push(format!(r#"{{"op":"release","shard":0,"handle":{oldest}}}"#));
+            continue;
+        }
+        // Light task: UT ∈ [0.10, 0.22], area ∈ {1,2,3} → with at most six
+        // outstanding, US(Γ) stays far below every bound.
+        let ut = 0.10 + 0.02 * ((r % 7) as f64);
+        let period = 4.0 + 0.5 * ((r % 13) as f64);
+        let exec = ut * period;
+        let area = 1 + (r % 3) as u32;
+        let margins = if r % 25 == 7 { r#","margins":true"# } else { "" };
+        lines.push(format!(
+            r#"{{"op":"admit","shard":0,"task":{{"exec":{exec:?},"deadline":{period:?},"period":{period:?},"area":{area}}}{margins}}}"#
+        ));
+        outstanding.push(next_handle);
+        next_handle += 1;
+    }
+}
+
+/// The full deterministic request stream: the prologue plus `n` churn
+/// requests.
+fn request_stream(n: usize) -> String {
+    let mut lines = Vec::new();
+    prologue(&mut lines);
+    churn(&mut lines, n);
+    let mut out = lines.join("\n");
+    out.push('\n');
+    out
+}
+
+#[test]
+fn request_fixture_is_its_generator() {
+    assert_eq!(request_stream(100), REQUESTS);
 }
 
 #[test]

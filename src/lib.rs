@@ -86,8 +86,8 @@ pub use fpga_rt_sim as sim;
 /// Commonly used items in one import.
 pub mod prelude {
     pub use fpga_rt_analysis::{
-        AnalysisKernel, AnalysisSeries, AnyOfTest, BatchAnalyzer, DpTest, Gn1Test, Gn2Test,
-        IncrementalState, SchedTest, ScratchSpace, TaskSetBatch, TestReport, Verdict,
+        AnalysisSeries, AnyOfTest, BatchAnalyzer, DpTest, Gn1Test, Gn2Test, IncrementalState,
+        SchedTest, ScratchSpace, TaskSetBatch, TestReport, Verdict,
     };
     pub use fpga_rt_loadgen::{ArrivalProfile, LatencyHistogram, LoadConfig, LoadReport};
     pub use fpga_rt_model::{

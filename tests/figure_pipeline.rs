@@ -1,19 +1,20 @@
 //! Reduced-scale end-to-end runs of the figure pipeline, asserting the
-//! *shape* relations the paper reports (Section 6 observations), which are
-//! exactly the relations EXPERIMENTS.md checks at full scale:
+//! *shape* relations the paper reports (Section 6 observations; see
+//! `docs/THEORY.md`), which `fpga-rt study figures` shows at full scale:
 //!
 //! * every analytic test is pessimistic w.r.t. simulation;
 //! * simulated EDF-NF accepts at least as much as EDF-FkF per bin;
 //! * acceptance decays with utilization.
 
-use fpga_rt::exp::acceptance::{run_sweep, standard_evaluators, SweepConfig};
-use fpga_rt::exp::output::{render_csv, render_markdown, render_text};
+use fpga_rt::exp::acceptance::standard_evaluators;
+use fpga_rt::exp::output::{render_csv, render_text};
+use fpga_rt::exp::sweep::{run_pool_sweep, PoolSweepConfig};
 use fpga_rt::gen::{FigureWorkload, UtilizationBins};
 
 fn small_sweep(workload: FigureWorkload) -> fpga_rt::exp::SweepResult {
-    let mut config = SweepConfig::new(workload, 20, 0xF16);
+    let mut config = PoolSweepConfig::new(workload, 20, 0xF16);
     config.bins = UtilizationBins::new(0.0, 1.0, 8);
-    run_sweep(&config, &standard_evaluators(15.0), None)
+    run_pool_sweep(&config, &standard_evaluators(15.0)).result
 }
 
 #[test]
@@ -63,15 +64,12 @@ fn fig4a_spatially_heavy_tests_struggle() {
 fn renderers_agree_on_data() {
     let r = small_sweep(FigureWorkload::fig3b());
     let text = render_text(&r);
-    let md = render_markdown(&r);
     let csv = render_csv(&r);
     assert!(text.contains("fig3b"));
-    assert!(md.contains("fig3b"));
     // CSV has one header plus one row per bin.
     assert_eq!(csv.lines().count(), 1 + 8);
     for s in &r.series {
         assert!(text.contains(&s.name));
-        assert!(md.contains(&s.name));
         assert!(csv.lines().next().unwrap().contains(&s.name));
     }
 }
