@@ -25,8 +25,21 @@
 //!   verdicts are computed in one pass and `AnyOf` is derived from them
 //!   instead of re-evaluated.
 //! * [`ScratchSpace`] — the reusable pack buffer engines thread through
-//!   worker state (one per `fpga-rt-pool` shard) so repeated single-taskset
-//!   calls also stay allocation-free in steady state.
+//!   worker state (one per `fpga-rt-pool` shard, one per admission
+//!   controller) so repeated single-taskset calls also stay
+//!   allocation-free in steady state. [`ScratchSpace::pack`] takes the
+//!   tasks as any in-order sequence, so a caller holding them elsewhere
+//!   (the controller's live set plus a candidate) packs without building a
+//!   [`TaskSet`] first, and [`BatchAnalyzer::analyze_packed`] then runs any
+//!   series on that one packing.
+//!
+//! GN2 costs O(N) per λ attempt and up to 2N attempts per task. The
+//! case-1 value of `βλk(i)`, `max(ui, ui·(1 − Di/Dk) + Ci/Dk)`, does not
+//! depend on λ, so once task k's first λ attempt has failed the kernel
+//! evaluates it for every i into a scratch column and its later attempts
+//! read it instead of dividing twice per interferer. A task that passes
+//! at its first λ — most tasks of the small figure sets — does no extra
+//! work.
 //!
 //! ## Bit-identity contract
 //!
@@ -36,18 +49,20 @@
 //! bit-identical to [`DpTest`](crate::DpTest), [`Gn1Test`](crate::Gn1Test),
 //! [`Gn2Test`](crate::Gn2Test) and
 //! [`AnyOfTest::paper_suite`](crate::AnyOfTest::paper_suite) — asserted by
-//! the `batch_equiv` property tests over all four figure generators,
-//! including knife-edge margins where a comparison holds with exact
-//! equality. Ablation configurations (`DP-real`, `GN1-bcl`, grid search, …)
-//! are served by the scalar path only.
+//! the `batch_equiv` property tests over all four figure generators and
+//! over admission-sized sets with deadlines below, at and above their
+//! periods, including knife-edge margins where a comparison holds with
+//! exact equality. Ablation configurations (`DP-real`, `GN1-bcl`, grid
+//! search, …) are served by the scalar path only.
 //!
 //! The only intentional deviation is *what is reported*: instead of a
 //! formatted [`TestReport`](crate::TestReport), each series yields a
-//! [`BatchVerdict`] carrying the verdict and the deciding inequality's
+//! [`BatchVerdict`] carrying the verdict, the deciding inequality's
 //! `(lhs, rhs)` — the same two numbers the scalar report's final
-//! `TaskCheck` row carries.
+//! `TaskCheck` row carries — and the report's
+//! [`TestReport::margin`](crate::TestReport::margin).
 
-use fpga_rt_model::{Fpga, TaskSet, Time};
+use fpga_rt_model::{Fpga, Task, TaskSet, Time};
 
 /// The four analytic series the kernel computes, in the fixed order the
 /// sweep and conformance engines report them.
@@ -92,11 +107,24 @@ pub struct BatchVerdict {
     /// the final evaluated row on acceptance). `None` when the taskset was
     /// rejected by the precondition guard before any row was evaluated.
     pub margin: Option<(f64, f64)>,
+    /// The signed slack the scalar report reads, bit-identical to
+    /// [`TestReport::margin`](crate::TestReport::margin): on acceptance the
+    /// minimum `rhs − lhs` over the rows, on rejection the failing row's
+    /// `rhs − lhs`, and `−∞` when the precondition guard rejected.
+    pub report_margin: f64,
 }
 
 impl BatchVerdict {
     fn precondition_reject() -> Self {
-        BatchVerdict { accepted: false, margin: None }
+        BatchVerdict { accepted: false, margin: None, report_margin: f64::NEG_INFINITY }
+    }
+
+    /// The verdict of a per-task test whose final row was `last` (the
+    /// failing row on rejection). `folded` is the `f64::min` fold of
+    /// `rhs − lhs` over the passed rows, from `+∞` in row order.
+    fn from_rows(accepted: bool, last: (f64, f64), folded: f64) -> Self {
+        let report_margin = if accepted { folded } else { last.1 - last.0 };
+        BatchVerdict { accepted, margin: Some(last), report_margin }
     }
 }
 
@@ -136,12 +164,13 @@ impl BatchVerdicts {
 /// every test and every λ attempt. `clear` retains the allocations, so a
 /// reused batch reaches a steady state with **zero per-taskset heap
 /// allocation**.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TaskSetBatch {
-    /// `starts[i]..starts[i+1]` is taskset `i`'s column range.
-    starts: Vec<usize>,
-    /// `cand_starts[i]..cand_starts[i+1]` is taskset `i`'s λ-candidate pool.
-    cand_starts: Vec<usize>,
+    /// `ends[i]` is where taskset `i`'s columns end (and taskset `i + 1`'s
+    /// begin), so an empty batch owns no allocation.
+    ends: Vec<usize>,
+    /// `cand_ends[i]` is where taskset `i`'s λ-candidate pool ends.
+    cand_ends: Vec<usize>,
     exec: Vec<f64>,
     deadline: Vec<f64>,
     period: Vec<f64>,
@@ -162,31 +191,10 @@ pub struct TaskSetBatch {
     amin: Vec<u32>,
 }
 
-impl Default for TaskSetBatch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TaskSetBatch {
     /// An empty batch.
     pub fn new() -> Self {
-        TaskSetBatch {
-            starts: vec![0],
-            cand_starts: vec![0],
-            exec: Vec::new(),
-            deadline: Vec::new(),
-            period: Vec::new(),
-            area: Vec::new(),
-            area_f: Vec::new(),
-            ut: Vec::new(),
-            us: Vec::new(),
-            density: Vec::new(),
-            cand: Vec::new(),
-            us_total: Vec::new(),
-            amax: Vec::new(),
-            amin: Vec::new(),
-        }
+        TaskSetBatch::default()
     }
 
     /// Number of packed tasksets.
@@ -206,8 +214,8 @@ impl TaskSetBatch {
 
     /// Drop all packed tasksets, keeping the column allocations.
     pub fn clear(&mut self) {
-        self.starts.truncate(1);
-        self.cand_starts.truncate(1);
+        self.ends.clear();
+        self.cand_ends.clear();
         self.exec.clear();
         self.deadline.clear();
         self.period.clear();
@@ -225,10 +233,15 @@ impl TaskSetBatch {
     /// Pack one taskset: copy the columns, derive the ratios and
     /// aggregates, and sort this taskset's λ-candidate pool.
     pub fn push(&mut self, taskset: &TaskSet<f64>) {
+        self.push_tasks(taskset.tasks());
+    }
+
+    /// [`TaskSetBatch::push`] for a taskset given as its tasks in order.
+    fn push_tasks<'a>(&mut self, tasks: impl IntoIterator<Item = &'a Task<f64>>) {
         let mut us_total = 0.0f64;
         let mut amax = 0u32;
         let mut amin = u32::MAX;
-        for task in taskset {
+        for task in tasks {
             let (c, d, p, a) = (task.exec(), task.deadline(), task.period(), task.area());
             let area_f = f64::from(a);
             let ut = c / p;
@@ -253,7 +266,7 @@ impl TaskSetBatch {
                 self.cand.push(density);
             }
         }
-        let cand_start = *self.cand_starts.last().expect("initialized with sentinel 0");
+        let cand_start = self.cand_ends.last().copied().unwrap_or(0);
         let pool = &mut self.cand[cand_start..];
         pool.sort_unstable_by(|a, b| a.partial_cmp(b).expect("validated times are ordered"));
         // In-place dedup of the freshly sorted pool (same result as the
@@ -268,8 +281,8 @@ impl TaskSetBatch {
         let pool_len = keep;
         self.cand.truncate(cand_start + pool_len);
 
-        self.starts.push(self.exec.len());
-        self.cand_starts.push(self.cand.len());
+        self.ends.push(self.exec.len());
+        self.cand_ends.push(self.cand.len());
         self.us_total.push(us_total);
         self.amax.push(amax);
         self.amin.push(amin);
@@ -277,7 +290,7 @@ impl TaskSetBatch {
 
     /// Borrow taskset `i`'s columns.
     fn view(&self, i: usize) -> View<'_> {
-        let r = self.starts[i]..self.starts[i + 1];
+        let r = range(&self.ends, i);
         View {
             exec: &self.exec[r.clone()],
             deadline: &self.deadline[r.clone()],
@@ -287,12 +300,17 @@ impl TaskSetBatch {
             ut: &self.ut[r.clone()],
             us: &self.us[r.clone()],
             density: &self.density[r],
-            cand: &self.cand[self.cand_starts[i]..self.cand_starts[i + 1]],
+            cand: &self.cand[range(&self.cand_ends, i)],
             us_total: self.us_total[i],
             amax: self.amax[i],
             amin: self.amin[i],
         }
     }
+}
+
+/// The `i`-th of the back-to-back ranges that end at `ends`.
+fn range(ends: &[usize], i: usize) -> core::ops::Range<usize> {
+    i.checked_sub(1).map_or(0, |prev| ends[prev])..ends[i]
 }
 
 /// One packed taskset's columns and aggregates.
@@ -314,18 +332,30 @@ struct View<'a> {
 /// Reusable pack buffer for repeated single-taskset kernel calls.
 ///
 /// Engines keep one per worker (the `fpga-rt-pool` shard-state factory
-/// builds it), so the steady-state hot path performs no heap allocation. A
-/// fresh `ScratchSpace` is also cheap — empty `Vec`s allocate nothing — so
+/// builds it) and the admission controller keeps one per session, so the
+/// steady-state hot path performs no heap allocation. A fresh
+/// `ScratchSpace` is also cheap — empty `Vec`s allocate nothing — so
 /// one-off calls construct one on the spot.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ScratchSpace {
     batch: TaskSetBatch,
+    /// GN2's hoisted case-1 column `βλk(i)` for the current task k.
+    case1: Vec<f64>,
 }
 
 impl ScratchSpace {
     /// An empty scratch space (no allocation until first use).
     pub fn new() -> Self {
         ScratchSpace::default()
+    }
+
+    /// Pack one taskset, given as its tasks in order, replacing whatever
+    /// was packed before; [`BatchAnalyzer::analyze_packed`] evaluates it.
+    /// The tasks must form a valid taskset (non-empty, validated tasks),
+    /// as a [`TaskSet`] built from the same sequence would.
+    pub fn pack<'a>(&mut self, tasks: impl IntoIterator<Item = &'a Task<f64>>) {
+        self.batch.clear();
+        self.batch.push_tasks(tasks);
     }
 }
 
@@ -350,9 +380,9 @@ impl BatchAnalyzer {
         device: &Fpga,
         scratch: &mut ScratchSpace,
     ) -> BatchVerdicts {
-        scratch.batch.clear();
-        scratch.batch.push(taskset);
-        self.verdicts(&scratch.batch.view(0), device)
+        scratch.pack(taskset.tasks());
+        let ScratchSpace { batch, case1 } = scratch;
+        self.verdicts(&batch.view(0), device, case1)
     }
 
     /// Evaluate one series for one taskset (`AnyOf` short-circuits its
@@ -364,27 +394,34 @@ impl BatchAnalyzer {
         device: &Fpga,
         scratch: &mut ScratchSpace,
     ) -> BatchVerdict {
-        scratch.batch.clear();
-        scratch.batch.push(taskset);
-        let v = scratch.batch.view(0);
-        if !precondition_ok(&v, device.columns()) {
+        scratch.pack(taskset.tasks());
+        self.analyze_packed(series, device, scratch)
+    }
+
+    /// Evaluate one series for the taskset last packed with
+    /// [`ScratchSpace::pack`], so several series can share one packing.
+    ///
+    /// # Panics
+    ///
+    /// When nothing was packed into `scratch`.
+    pub fn analyze_packed(
+        &self,
+        series: AnalysisSeries,
+        device: &Fpga,
+        scratch: &mut ScratchSpace,
+    ) -> BatchVerdict {
+        let ScratchSpace { batch, case1 } = scratch;
+        let v = batch.view(0);
+        let cols = device.columns();
+        if !precondition_ok(&v, cols) {
             return BatchVerdict::precondition_reject();
         }
-        let cols = device.columns();
         match series {
             AnalysisSeries::Dp => dp_kernel(&v, cols),
             AnalysisSeries::Gn1 => gn1_kernel(&v, cols),
-            AnalysisSeries::Gn2 => gn2_kernel(&v, cols),
+            AnalysisSeries::Gn2 => gn2_kernel(&v, cols, case1),
             AnalysisSeries::AnyOf => {
-                let dp = dp_kernel(&v, cols);
-                if dp.accepted {
-                    return dp;
-                }
-                let gn1 = gn1_kernel(&v, cols);
-                if gn1.accepted {
-                    return gn1;
-                }
-                gn2_kernel(&v, cols)
+                any_of(dp_kernel(&v, cols), || gn1_kernel(&v, cols), || gn2_kernel(&v, cols, case1))
             }
         }
     }
@@ -395,12 +432,13 @@ impl BatchAnalyzer {
     pub fn analyze_batch(&self, batch: &TaskSetBatch, device: &Fpga, out: &mut Vec<BatchVerdicts>) {
         out.clear();
         out.reserve(batch.len());
+        let mut case1 = Vec::new();
         for i in 0..batch.len() {
-            out.push(self.verdicts(&batch.view(i), device));
+            out.push(self.verdicts(&batch.view(i), device, &mut case1));
         }
     }
 
-    fn verdicts(&self, v: &View<'_>, device: &Fpga) -> BatchVerdicts {
+    fn verdicts(&self, v: &View<'_>, device: &Fpga, case1: &mut Vec<f64>) -> BatchVerdicts {
         let cols = device.columns();
         if !precondition_ok(v, cols) {
             let reject = BatchVerdict::precondition_reject();
@@ -408,18 +446,38 @@ impl BatchAnalyzer {
         }
         let dp = dp_kernel(v, cols);
         let gn1 = gn1_kernel(v, cols);
-        let gn2 = gn2_kernel(v, cols);
-        // The composite's final check row is the first accepting
-        // component's, or GN2's when all three reject.
-        let any_of = if dp.accepted {
-            dp
-        } else if gn1.accepted {
-            gn1
-        } else {
-            gn2
-        };
-        BatchVerdicts { dp, gn1, gn2, any_of }
+        let gn2 = gn2_kernel(v, cols, case1);
+        BatchVerdicts { dp, gn1, gn2, any_of: any_of(dp, || gn1, || gn2) }
     }
+}
+
+/// The composite's verdict from its components, evaluated lazily in
+/// order like the scalar `AnyOfTest`: the first accepting component's, or
+/// GN2's when all three reject.
+///
+/// The scalar composite's report holds every evaluated component's rows.
+/// A rejected component's smallest `rhs − lhs` is its failing row, which
+/// is its `report_margin`, so an acceptance's report margin is the minimum
+/// over the `report_margin`s of the components evaluated so far.
+fn any_of(
+    dp: BatchVerdict,
+    gn1: impl FnOnce() -> BatchVerdict,
+    gn2: impl FnOnce() -> BatchVerdict,
+) -> BatchVerdict {
+    if dp.accepted {
+        return dp;
+    }
+    let gn1 = gn1();
+    let before = dp.report_margin;
+    if gn1.accepted {
+        return BatchVerdict { report_margin: before.min(gn1.report_margin), ..gn1 };
+    }
+    let gn2 = gn2();
+    if gn2.accepted {
+        let before = before.min(gn1.report_margin);
+        return BatchVerdict { report_margin: before.min(gn2.report_margin), ..gn2 };
+    }
+    gn2
 }
 
 /// The shared precondition guard (`traits::precondition_reject`): every
@@ -434,15 +492,17 @@ fn dp_kernel(v: &View<'_>, cols: u32) -> BatchVerdict {
     let abnd = (i64::from(cols) - i64::from(v.amax) + 1) as f64;
     let us_total = v.us_total;
     let mut margin = (0.0, 0.0);
+    let mut folded = f64::INFINITY;
     for k in 0..v.exec.len() {
         let rhs = abnd * (1.0 - v.ut[k]) + v.us[k];
         margin = (us_total, rhs);
         let passed = us_total <= rhs;
         if !passed {
-            return BatchVerdict { accepted: false, margin: Some(margin) };
+            return BatchVerdict::from_rows(false, margin, folded);
         }
+        folded = folded.min(rhs - us_total);
     }
-    BatchVerdict { accepted: true, margin: Some(margin) }
+    BatchVerdict::from_rows(true, margin, folded)
 }
 
 /// Theorem 2 (`Gn1Test`, paper defaults — `βi = Wi/Di`, RHS `+ 1`): for
@@ -451,6 +511,7 @@ fn gn1_kernel(v: &View<'_>, cols: u32) -> BatchVerdict {
     let n = v.exec.len();
     let cols_i = i64::from(cols);
     let mut margin = (0.0, 0.0);
+    let mut folded = f64::INFINITY;
     for k in 0..n {
         let slack = 1.0 - v.density[k];
         let abnd = (cols_i - i64::from(v.area[k]) + 1) as f64;
@@ -472,21 +533,61 @@ fn gn1_kernel(v: &View<'_>, cols: u32) -> BatchVerdict {
         margin = (lhs, rhs);
         let passed = lhs < rhs;
         if !passed {
-            return BatchVerdict { accepted: false, margin: Some(margin) };
+            return BatchVerdict::from_rows(false, margin, folded);
         }
+        folded = folded.min(rhs - lhs);
     }
-    BatchVerdict { accepted: true, margin: Some(margin) }
+    BatchVerdict::from_rows(true, margin, folded)
+}
+
+/// Lemma 7's case 1, `βλk(i) = max(ui, ui·(1 − Di/Dk) + Ci/Dk)` for
+/// `ui ≤ λ` — the one case that does not depend on λ.
+fn beta_case1(v: &View<'_>, i: usize, dk: f64) -> f64 {
+    let ui = v.ut[i];
+    ui.max_t(ui * (1.0 - v.deadline[i] / dk) + v.exec[i] / dk)
+}
+
+/// Both left-hand sides of Theorem 3 for task k at one λ:
+/// `(Σ Ai·min(βλk(i), 1 − λk), Σ Ai·min(βλk(i), 1))`, with βλk's case 1
+/// supplied by `case1` (Lemma 7, `Gn2Test::beta_lambda`, Baker case 2).
+#[inline(always)]
+fn gn2_sums(
+    v: &View<'_>,
+    lambda: f64,
+    dk: f64,
+    one_minus: f64,
+    case1: impl Fn(usize) -> f64,
+) -> (f64, f64) {
+    let mut lhs1 = 0.0f64;
+    let mut lhs2 = 0.0f64;
+    for i in 0..v.exec.len() {
+        let ui = v.ut[i];
+        let beta = if ui <= lambda {
+            case1(i)
+        } else if lambda >= v.density[i] {
+            lambda
+        } else {
+            ui + (v.exec[i] - lambda * v.deadline[i]) / dk
+        };
+        let a = v.area_f[i];
+        lhs1 += a * beta.min_t(one_minus);
+        lhs2 += a * beta.min_t(1.0);
+    }
+    (lhs1, lhs2)
 }
 
 /// Theorem 3 (`Gn2Test`, paper defaults — Baker's λ in βλk case 2, strict
 /// condition 2, paper λ points): for every τk some candidate λ must
 /// satisfy condition 1 or 2. The λ window is a contiguous slice of the
-/// taskset's pre-sorted candidate pool.
-fn gn2_kernel(v: &View<'_>, cols: u32) -> BatchVerdict {
+/// taskset's pre-sorted candidate pool. From task k's second λ attempt on,
+/// βλk's case 1 comes from `case1`, filled once for k (see the module
+/// docs).
+fn gn2_kernel(v: &View<'_>, cols: u32, case1: &mut Vec<f64>) -> BatchVerdict {
     let n = v.exec.len();
     let abnd = (i64::from(cols) - i64::from(v.amax) + 1) as f64;
     let amin = f64::from(v.amin);
     let mut margin = (0.0, 0.0);
+    let mut folded = f64::INFINITY;
     for k in 0..n {
         let uk = v.ut[k];
         // λk = λ·max(1, Tk/Dk) ≤ 1  ⇔  λ ≤ 1/scale.
@@ -495,6 +596,7 @@ fn gn2_kernel(v: &View<'_>, cols: u32) -> BatchVerdict {
         let dk = v.deadline[k];
         let mut passing = false;
         let mut best: Option<(f64, f64)> = None;
+        let mut attempts = 0usize;
         for &lambda in v.cand {
             if lambda < uk {
                 continue;
@@ -504,23 +606,16 @@ fn gn2_kernel(v: &View<'_>, cols: u32) -> BatchVerdict {
             }
             let lambda_k = lambda * scale;
             let one_minus = 1.0 - lambda_k;
-            let mut lhs1 = 0.0f64;
-            let mut lhs2 = 0.0f64;
-            for i in 0..n {
-                // Lemma 7 (`Gn2Test::beta_lambda`, Baker case 2).
-                let ui = v.ut[i];
-                let beta = if ui <= lambda {
-                    let extended = ui * (1.0 - v.deadline[i] / dk) + v.exec[i] / dk;
-                    ui.max_t(extended)
-                } else if lambda >= v.density[i] {
-                    lambda
-                } else {
-                    ui + (v.exec[i] - lambda * v.deadline[i]) / dk
-                };
-                let a = v.area_f[i];
-                lhs1 += a * beta.min_t(one_minus);
-                lhs2 += a * beta.min_t(1.0);
-            }
+            let (lhs1, lhs2) = if attempts == 0 {
+                gn2_sums(v, lambda, dk, one_minus, |i| beta_case1(v, i, dk))
+            } else {
+                if attempts == 1 {
+                    case1.clear();
+                    case1.extend((0..n).map(|i| beta_case1(v, i, dk)));
+                }
+                gn2_sums(v, lambda, dk, one_minus, |i| case1[i])
+            };
+            attempts += 1;
             let rhs1 = abnd * one_minus;
             let rhs2 = (abnd - amin) * one_minus + amin;
             let better = match best {
@@ -543,10 +638,11 @@ fn gn2_kernel(v: &View<'_>, cols: u32) -> BatchVerdict {
         }
         if !passing {
             let m = best.unwrap_or((f64::INFINITY, 0.0));
-            return BatchVerdict { accepted: false, margin: Some(m) };
+            return BatchVerdict::from_rows(false, m, folded);
         }
+        folded = folded.min(margin.1 - margin.0);
     }
-    BatchVerdict { accepted: true, margin: Some(margin) }
+    BatchVerdict::from_rows(true, margin, folded)
 }
 
 #[cfg(test)]
@@ -568,10 +664,10 @@ mod tests {
         TaskSet::try_from_tuples(&[(2.10, 5.0, 5.0, 7), (2.00, 7.0, 7.0, 7)]).unwrap()
     }
 
-    /// The scalar margin the batch kernel mirrors: the report's final
-    /// check row.
-    fn scalar_margin(rep: &TestReport) -> Option<(f64, f64)> {
-        rep.checks.last().map(|c| (c.lhs, c.rhs))
+    /// The scalar outputs the batch kernel mirrors: the report's final
+    /// check row and its margin.
+    fn scalar_margin(rep: &TestReport) -> (Option<(f64, f64)>, u64) {
+        (rep.checks.last().map(|c| (c.lhs, c.rhs)), rep.margin().to_bits())
     }
 
     fn assert_matches_scalar(ts: &TaskSet<f64>, dev: &Fpga) {
@@ -588,7 +684,7 @@ mod tests {
             ("AnyOf", batch.any_of, &any),
         ] {
             assert_eq!(b.accepted, s.accepted(), "{name} verdict");
-            assert_eq!(b.margin, scalar_margin(s), "{name} margin");
+            assert_eq!((b.margin, b.report_margin.to_bits()), scalar_margin(s), "{name} margin");
         }
     }
 
@@ -611,7 +707,8 @@ mod tests {
         assert_matches_scalar(&infeasible, &dev);
         let mut scratch = ScratchSpace::new();
         let v = BatchAnalyzer::new().analyze(&wide, &dev, &mut scratch);
-        assert_eq!(v.dp, BatchVerdict { accepted: false, margin: None });
+        assert_eq!(v.dp, BatchVerdict::precondition_reject());
+        assert_eq!(v.dp.report_margin, f64::NEG_INFINITY);
         assert_eq!(v.any_of.margin, None);
     }
 

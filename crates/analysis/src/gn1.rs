@@ -25,6 +25,15 @@
 //!   example `β1 = 4.1/5` where `Dk = 7, D1 = 5`), whereas the BCL ancestor
 //!   divides by `Dk`. The BCL-faithful denominator is available via
 //!   [`Gn1BetaDenominator::WindowDk`] for the ablation study (X1).
+//!
+//! ## Scalar test and batch kernel
+//!
+//! At the paper configuration the sweeps, `conform` and the online
+//! admission controller decide GN1 on the batch kernel
+//! ([`crate::batch`]), which repeats this test's arithmetic in the same
+//! order and is property-tested bit-identical to it. [`Gn1Test`] stays the
+//! reference, the report builder (per-task rows for `margins` requests),
+//! the ablation variants and the exact `Rat64` evaluation.
 
 use crate::report::{TaskCheck, TestReport, Verdict};
 use crate::traits::{precondition_reject, SchedTest};
@@ -84,45 +93,57 @@ impl Gn1Test {
     pub fn config(&self) -> Gn1Config {
         self.config
     }
+}
 
-    /// [`SchedTest::check`] with the per-task [`Gn1Agg`] values supplied by
-    /// the caller (`aggs[i]` must be [`Gn1Agg::of`]`(taskset.task(i))`).
-    ///
-    /// This is the *only* evaluation path — the trait `check` derives the
-    /// aggregates and delegates here — so scratch and warm invocations are
-    /// structurally bit-identical.
-    pub fn check_with_aggregates<T: Time>(
-        &self,
-        taskset: &TaskSet<T>,
-        device: &Fpga,
-        aggs: &[Gn1Agg<T>],
-    ) -> TestReport {
-        debug_assert_eq!(aggs.len(), taskset.len());
+/// The maximum number of jobs of `τi` completely contained in a window of
+/// length `Dk` when deadlines are aligned (BCL worst case):
+/// `Ni = ⌊(Dk − Di)/Ti⌋ + 1`, clamped at zero.
+pub fn job_count_ni<T: Time>(interfering: &Task<T>, dk: T) -> i64 {
+    let ni = ((dk - interfering.deadline()) / interfering.period()).floor_i64() + 1;
+    ni.max(0)
+}
+
+/// Upper bound on the *time work* of `τi` in a deadline-aligned window of
+/// length `Dk` (Lemma 4): `Wi = Ni·Ci + min(Ci, max(Dk − Ni·Ti, 0))`.
+pub fn time_work_bound<T: Time>(interfering: &Task<T>, dk: T) -> T {
+    let ni = T::from_i64(job_count_ni(interfering, dk));
+    let carry_in = interfering.exec().min_t((dk - ni * interfering.period()).max_zero());
+    ni * interfering.exec() + carry_in
+}
+
+impl<T: Time> SchedTest<T> for Gn1Test {
+    fn name(&self) -> &str {
+        match self.config.beta_denominator {
+            Gn1BetaDenominator::InterferingDi => "GN1",
+            Gn1BetaDenominator::WindowDk => "GN1-bcl",
+        }
+    }
+
+    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
         let name = SchedTest::<T>::name(self).to_string();
         if let Some(rep) = precondition_reject(&name, taskset, device) {
             return rep;
         }
 
-        let mut checks = Vec::with_capacity(aggs.len());
-        for (k, tk) in aggs.iter().enumerate() {
-            let k = fpga_rt_model::TaskId(k);
-            let slack_ratio = T::ONE - tk.density; // 1 − Ck/Dk ≥ 0 (precondition)
-            let abnd_base = i64::from(device.columns()) - i64::from(tk.area);
+        let mut checks = Vec::with_capacity(taskset.len());
+        for (k, tk) in taskset.iter() {
+            let slack_ratio = T::ONE - tk.density(); // 1 − Ck/Dk ≥ 0 (precondition)
+            let abnd_base = i64::from(device.columns()) - i64::from(tk.area());
             let abnd =
                 T::from_i64(if self.config.rhs_plus_one { abnd_base + 1 } else { abnd_base });
 
             let mut lhs = T::ZERO;
-            for (i, ti) in aggs.iter().enumerate() {
-                if i == k.0 {
+            for (i, ti) in taskset.iter() {
+                if i == k {
                     continue;
                 }
-                let w = ti.time_work(tk.deadline);
+                let w = time_work_bound(ti, tk.deadline());
                 let denom = match self.config.beta_denominator {
-                    Gn1BetaDenominator::InterferingDi => ti.deadline,
-                    Gn1BetaDenominator::WindowDk => tk.deadline,
+                    Gn1BetaDenominator::InterferingDi => ti.deadline(),
+                    Gn1BetaDenominator::WindowDk => tk.deadline(),
                 };
                 let beta = w / denom;
-                lhs = lhs + ti.area_t * beta.min_t(slack_ratio);
+                lhs = lhs + ti.area_t() * beta.min_t(slack_ratio);
             }
             let rhs = abnd * slack_ratio;
             let passed = lhs < rhs;
@@ -149,89 +170,6 @@ impl Gn1Test {
             }
         }
         TestReport { test: name, verdict: Verdict::Accepted, checks }
-    }
-}
-
-/// The maximum number of jobs of `τi` completely contained in a window of
-/// length `Dk` when deadlines are aligned (BCL worst case):
-/// `Ni = ⌊(Dk − Di)/Ti⌋ + 1`, clamped at zero.
-pub fn job_count_ni<T: Time>(interfering: &Task<T>, dk: T) -> i64 {
-    let ni = ((dk - interfering.deadline()) / interfering.period()).floor_i64() + 1;
-    ni.max(0)
-}
-
-/// Upper bound on the *time work* of `τi` in a deadline-aligned window of
-/// length `Dk` (Lemma 4): `Wi = Ni·Ci + min(Ci, max(Dk − Ni·Ti, 0))`.
-pub fn time_work_bound<T: Time>(interfering: &Task<T>, dk: T) -> T {
-    let ni = T::from_i64(job_count_ni(interfering, dk));
-    let carry_in = interfering.exec().min_t((dk - ni * interfering.period()).max_zero());
-    ni * interfering.exec() + carry_in
-}
-
-/// Per-task values the GN1 inequality reads, precomputed once.
-///
-/// [`Gn1Test::check`] derives these from the taskset on every call; an
-/// admission controller's warm path keeps them alongside each live task
-/// (see `IncrementalState` in this crate) so a single-task delta reuses N−1
-/// of them. Each field is a pure per-task function, so a maintained
-/// aggregate is bit-identical to a freshly derived one — both feed the same
-/// [`Gn1Test::check_with_aggregates`] code path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Gn1Agg<T> {
-    /// `Ck`.
-    pub exec: T,
-    /// `Dk`.
-    pub deadline: T,
-    /// `Tk`.
-    pub period: T,
-    /// `Ak` as a [`Time`] value.
-    pub area_t: T,
-    /// `Ak` in columns.
-    pub area: u32,
-    /// `Ck / Dk`.
-    pub density: T,
-}
-
-impl<T: Time> Gn1Agg<T> {
-    /// The aggregate of one task.
-    pub fn of(task: &Task<T>) -> Self {
-        Gn1Agg {
-            exec: task.exec(),
-            deadline: task.deadline(),
-            period: task.period(),
-            area_t: task.area_t(),
-            area: task.area(),
-            density: task.density(),
-        }
-    }
-
-    /// `Ni` over a window of length `dk` (same computation as
-    /// [`job_count_ni`]).
-    fn job_count(&self, dk: T) -> i64 {
-        let ni = ((dk - self.deadline) / self.period).floor_i64() + 1;
-        ni.max(0)
-    }
-
-    /// `Wi` over a window of length `dk` (same computation as
-    /// [`time_work_bound`]).
-    fn time_work(&self, dk: T) -> T {
-        let ni = T::from_i64(self.job_count(dk));
-        let carry_in = self.exec.min_t((dk - ni * self.period).max_zero());
-        ni * self.exec + carry_in
-    }
-}
-
-impl<T: Time> SchedTest<T> for Gn1Test {
-    fn name(&self) -> &str {
-        match self.config.beta_denominator {
-            Gn1BetaDenominator::InterferingDi => "GN1",
-            Gn1BetaDenominator::WindowDk => "GN1-bcl",
-        }
-    }
-
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
-        let aggs: Vec<Gn1Agg<T>> = taskset.tasks().iter().map(Gn1Agg::of).collect();
-        self.check_with_aggregates(taskset, device, &aggs)
     }
 }
 

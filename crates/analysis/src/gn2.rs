@@ -43,6 +43,17 @@
 //!   `Abnd < Amin` (spatially-heavy tasksets) the optimum can fall strictly
 //!   between candidate points, and condition 2's right-hand side grows with
 //!   λ, so the grid search accepts strictly more tasksets.
+//!
+//! ## Scalar test and batch kernel
+//!
+//! At the paper configuration the sweeps, `conform` and the online
+//! admission controller decide GN2 on the batch kernel
+//! ([`crate::batch`]), which repeats this test's arithmetic in the same
+//! order — evaluating βλk's λ-independent case 1 once per task instead of
+//! once per λ — and is property-tested bit-identical to it. [`Gn2Test`]
+//! stays the reference, the report builder (per-task rows for `margins`
+//! requests, the Section-6 walkthrough's [`Gn2Attempt`]s), the ablation
+//! variants and the exact `Rat64` evaluation.
 
 use crate::report::{TaskCheck, TestReport, Verdict};
 use crate::traits::{precondition_reject, SchedTest};
@@ -117,11 +128,9 @@ fn sort_dedup<T: Time>(v: &mut Vec<T>) {
 ///
 /// Every per-task candidate list of [`Gn2Test::lambda_candidates`] is a
 /// contiguous slice of this pool (each task's own `Ck/Tk` is a pool member,
-/// so the `λ ≥ Ck/Tk` filter is a `partition_point`). That slice structure
-/// is what lets an admission controller maintain the pool incrementally
-/// across admit/release churn — one sorted insert/remove per delta instead
-/// of an O(N log N) re-sort per task per check (see `IncrementalState` in
-/// this crate).
+/// so the `λ ≥ Ck/Tk` filter is a `partition_point`), so a check sorts the
+/// pool once per taskset instead of once per task; the batch kernel packs
+/// the same pool.
 pub fn lambda_pool<T: Time>(taskset: &TaskSet<T>) -> Vec<T> {
     let mut pool: Vec<T> = Vec::with_capacity(2 * taskset.len());
     for t in taskset {
@@ -315,27 +324,40 @@ impl Gn2Test {
         }
     }
 
-    /// [`SchedTest::check`] with the global [`lambda_pool`] supplied by the
-    /// caller (`pool` must equal `lambda_pool(taskset)`).
-    ///
-    /// This is the *only* evaluation path — the trait `check` builds the
-    /// pool and delegates here — so an admission controller feeding an
-    /// incrementally-maintained pool gets structurally bit-identical
-    /// reports.
-    pub fn check_with_pool<T: Time>(
+    /// All attempts for task `k`, in candidate order — used by the
+    /// experiment harness to print the paper's worked examples.
+    pub fn attempts_for_task<T: Time>(
         &self,
         taskset: &TaskSet<T>,
         device: &Fpga,
-        pool: &[T],
-    ) -> TestReport {
+        k: usize,
+    ) -> Vec<Gn2Attempt> {
+        self.lambda_candidates(taskset, k)
+            .into_iter()
+            .map(|l| self.evaluate_lambda(taskset, device, k, l))
+            .collect()
+    }
+}
+
+impl<T: Time> SchedTest<T> for Gn2Test {
+    fn name(&self) -> &str {
+        match (self.config.lambda_search, self.config.condition2_strict) {
+            (Gn2LambdaSearch::Grid { .. }, _) => "GN2-grid",
+            (Gn2LambdaSearch::PaperPoints, true) => "GN2",
+            (Gn2LambdaSearch::PaperPoints, false) => "GN2-nonstrict",
+        }
+    }
+
+    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
         let name = SchedTest::<T>::name(self).to_string();
         if let Some(rep) = precondition_reject(&name, taskset, device) {
             return rep;
         }
 
+        let pool = lambda_pool(taskset);
         let mut checks = Vec::with_capacity(taskset.len());
         for k in 0..taskset.len() {
-            let candidates = self.lambda_candidates_with_pool(taskset, k, pool);
+            let candidates = self.lambda_candidates_with_pool(taskset, k, &pool);
             let mut passing: Option<Gn2Attempt> = None;
             let mut best: Option<Gn2Attempt> = None;
             for lambda in candidates {
@@ -387,34 +409,6 @@ impl Gn2Test {
             }
         }
         TestReport { test: name, verdict: Verdict::Accepted, checks }
-    }
-
-    /// All attempts for task `k`, in candidate order — used by the
-    /// experiment harness to print the paper's worked examples.
-    pub fn attempts_for_task<T: Time>(
-        &self,
-        taskset: &TaskSet<T>,
-        device: &Fpga,
-        k: usize,
-    ) -> Vec<Gn2Attempt> {
-        self.lambda_candidates(taskset, k)
-            .into_iter()
-            .map(|l| self.evaluate_lambda(taskset, device, k, l))
-            .collect()
-    }
-}
-
-impl<T: Time> SchedTest<T> for Gn2Test {
-    fn name(&self) -> &str {
-        match (self.config.lambda_search, self.config.condition2_strict) {
-            (Gn2LambdaSearch::Grid { .. }, _) => "GN2-grid",
-            (Gn2LambdaSearch::PaperPoints, true) => "GN2",
-            (Gn2LambdaSearch::PaperPoints, false) => "GN2-nonstrict",
-        }
-    }
-
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
-        self.check_with_pool(taskset, device, &lambda_pool(taskset))
     }
 }
 

@@ -22,31 +22,13 @@
 //! same machinery drives both the fast `f64` tier and the exact
 //! [`fpga_rt_model::Rat64`] re-check tier of an admission cascade.
 //!
-//! ## Warm GN1/GN2 paths
-//!
-//! Beyond the DP minimum, the state maintains the inputs the slower cascade
-//! tiers re-derive on every check:
-//!
-//! * the per-task [`Gn1Agg`] values (utilizations, densities, areas as
-//!   [`Time`]), mirroring the live set's canonical order, and
-//! * the global GN2 λ-candidate pool `{Ci/Ti} ∪ {Ci/Di : Di > Ti}` as a
-//!   refcounted sorted/deduped multiset, so a single-task delta is one
-//!   binary-searched insert/remove instead of an O(N log N) re-sort.
-//!
-//! [`IncrementalState::warm_gn1_check`] / [`warm_gn2_check`] feed these into
-//! the *same* `Gn1Test::check_with_aggregates` / `Gn2Test::check_with_pool`
-//! code paths the scratch tests use, so warm reports are bit-identical to
-//! from-scratch ones — a property the service-level verdict cache depends
-//! on and the churn tests below pin down.
-//!
-//! [`warm_gn2_check`]: IncrementalState::warm_gn2_check
+//! Only DP keeps state between decisions. The slower cascade tiers keep
+//! none: an admission controller packs `Γ ∪ {candidate}` into the batch
+//! kernel ([`crate::batch`]) for each GN1/GN2 decision, which costs O(N)
+//! against their O(N²) and O(N³) evaluation.
 
 use crate::dp::{DpAreaBound, DpConfig};
-use crate::gn1::{Gn1Agg, Gn1Test};
-use crate::gn2::Gn2Test;
-use crate::report::TestReport;
-use core::cmp::Ordering;
-use fpga_rt_model::{Fpga, LiveTaskSet, Task, TaskSet, Time};
+use fpga_rt_model::{Fpga, LiveTaskSet, Task, Time};
 
 /// Outcome of an incremental DP evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,69 +58,6 @@ struct MinCache<T> {
     min_g: Option<T>,
 }
 
-/// Incrementally-maintained inputs of the GN1/GN2 warm paths (see the
-/// [module docs](self)).
-#[derive(Debug, Clone)]
-struct WarmState<T> {
-    /// Per-task GN1 aggregates, mirroring the live set's canonical order.
-    rows: Vec<Gn1Agg<T>>,
-    /// Refcounted, sorted, deduplicated λ-candidate multiset
-    /// `{Ci/Ti} ∪ {Ci/Di : Di > Ti}`; the values (refcounts dropped) are
-    /// exactly `gn2::lambda_pool` of the live snapshot.
-    pool: Vec<(T, u32)>,
-}
-
-/// Canonical-order comparison of a stored aggregate row against a task,
-/// mirroring `Task::canonical_cmp` field for field.
-fn agg_cmp_task<T: Time>(agg: &Gn1Agg<T>, task: &Task<T>) -> Ordering {
-    let ord = |a: T, b: T| a.partial_cmp(&b).expect("validated times are ordered");
-    ord(agg.exec, task.exec())
-        .then_with(|| ord(agg.deadline, task.deadline()))
-        .then_with(|| ord(agg.period, task.period()))
-        .then_with(|| agg.area.cmp(&task.area()))
-}
-
-/// Add one λ value to the refcounted pool (binary-searched insert).
-fn pool_add<T: Time>(pool: &mut Vec<(T, u32)>, v: T) {
-    let i = pool.partition_point(|&(x, _)| x < v);
-    if i < pool.len() && pool[i].0 == v {
-        pool[i].1 += 1;
-    } else {
-        pool.insert(i, (v, 1));
-    }
-}
-
-/// Drop one reference to a λ value; `false` when the value was absent
-/// (pool out of sync — caller rebuilds).
-fn pool_remove<T: Time>(pool: &mut Vec<(T, u32)>, v: T) -> bool {
-    let i = pool.partition_point(|&(x, _)| x < v);
-    if i < pool.len() && pool[i].0 == v {
-        if pool[i].1 > 1 {
-            pool[i].1 -= 1;
-        } else {
-            pool.remove(i);
-        }
-        true
-    } else {
-        false
-    }
-}
-
-/// The λ values a task contributes to the pool: its utilization, plus its
-/// density for post-period deadlines (`Di > Ti`).
-fn pool_values<T: Time>(task: &Task<T>) -> (T, Option<T>) {
-    let dens = (task.deadline() > task.period()).then(|| task.density());
-    (task.time_utilization(), dens)
-}
-
-/// Insert `v` into a sorted, deduplicated value list unless present.
-fn insert_unique<T: Time>(vals: &mut Vec<T>, v: T) {
-    let i = vals.partition_point(|&x| x < v);
-    if !(i < vals.len() && vals[i] == v) {
-        vals.insert(i, v);
-    }
-}
-
 /// Incrementally-maintained DP admission state (see the [module docs](self)).
 ///
 /// # Preconditions
@@ -150,7 +69,6 @@ fn insert_unique<T: Time>(vals: &mut Vec<T>, v: T) {
 pub struct IncrementalState<T: Time> {
     config: DpConfig,
     cache: Option<MinCache<T>>,
-    warm: Option<WarmState<T>>,
 }
 
 impl<T: Time> Default for IncrementalState<T> {
@@ -162,7 +80,7 @@ impl<T: Time> Default for IncrementalState<T> {
 impl<T: Time> IncrementalState<T> {
     /// State for the given DP variant.
     pub fn new(config: DpConfig) -> Self {
-        IncrementalState { config, cache: None, warm: None }
+        IncrementalState { config, cache: None }
     }
 
     /// The DP configuration in use.
@@ -254,8 +172,7 @@ impl<T: Time> IncrementalState<T> {
         }
     }
 
-    /// Fold a just-committed admission into the cache (O(1)) and the warm
-    /// GN1/GN2 structures (one binary-searched insert each).
+    /// Fold a just-committed admission into the cache (O(1)).
     ///
     /// Call *after* `live.admit(task)`; `live` is the post-admission set.
     pub fn on_admitted(&mut self, live: &LiveTaskSet<T>, admitted: &Task<T>, device: &Fpga) {
@@ -268,21 +185,6 @@ impl<T: Time> IncrementalState<T> {
             }
             _ => self.cache = None,
         }
-        if let Some(w) = &mut self.warm {
-            if w.rows.len() + 1 == live.len() {
-                let pos =
-                    w.rows.partition_point(|r| agg_cmp_task(r, admitted) != Ordering::Greater);
-                w.rows.insert(pos, Gn1Agg::of(admitted));
-                let (u, dens) = pool_values(admitted);
-                pool_add(&mut w.pool, u);
-                if let Some(d) = dens {
-                    pool_add(&mut w.pool, d);
-                }
-            } else {
-                // Out of sync with the live set; rebuild lazily.
-                self.warm = None;
-            }
-        }
     }
 
     /// Account for a release. Keeps the cache when the removed task cannot
@@ -291,21 +193,6 @@ impl<T: Time> IncrementalState<T> {
     ///
     /// Call *after* `live.remove(..)`; `live` is the post-release set.
     pub fn on_removed(&mut self, live: &LiveTaskSet<T>, removed: &Task<T>, device: &Fpga) {
-        if let Some(w) = &mut self.warm {
-            let pos = w.rows.partition_point(|r| agg_cmp_task(r, removed) == Ordering::Less);
-            let row_matches = w.rows.len() == live.len() + 1
-                && pos < w.rows.len()
-                && agg_cmp_task(&w.rows[pos], removed) == Ordering::Equal;
-            let (u, dens) = pool_values(removed);
-            if row_matches
-                && pool_remove(&mut w.pool, u)
-                && dens.map_or(true, |d| pool_remove(&mut w.pool, d))
-            {
-                w.rows.remove(pos);
-            } else {
-                self.warm = None;
-            }
-        }
         let Some(c) = self.cache else { return };
         if c.amax != live.amax() {
             self.cache = None;
@@ -320,88 +207,10 @@ impl<T: Time> IncrementalState<T> {
         }
     }
 
-    /// Drop the cached minimum and the warm GN1/GN2 structures; the next
-    /// evaluation re-derives everything from the live set.
+    /// Drop the cached minimum; the next evaluation re-derives it from the
+    /// live set.
     pub fn invalidate(&mut self) {
         self.cache = None;
-        self.warm = None;
-    }
-
-    /// (Re)build the warm structures when absent or visibly out of sync
-    /// with the live set.
-    fn warm_sync(&mut self, live: &LiveTaskSet<T>) {
-        let in_sync = self.warm.as_ref().is_some_and(|w| w.rows.len() == live.len());
-        if in_sync {
-            return;
-        }
-        let mut rows = Vec::with_capacity(live.len());
-        let mut pool: Vec<(T, u32)> = Vec::with_capacity(live.len());
-        for (_, t) in live.iter() {
-            rows.push(Gn1Agg::of(t));
-            let (u, dens) = pool_values(t);
-            pool_add(&mut pool, u);
-            if let Some(d) = dens {
-                pool_add(&mut pool, d);
-            }
-        }
-        self.warm = Some(WarmState { rows, pool });
-    }
-
-    /// Run `test` over `snap` using the maintained per-task aggregates,
-    /// bit-identical to `test.check(snap, device)`.
-    ///
-    /// `snap` must be the live set's snapshot, optionally with a candidate
-    /// inserted at canonical position `pos`
-    /// ([`fpga_rt_model::LiveTaskSet::snapshot_with_pos`]); pass the
-    /// candidate as `Some((pos, &task))` so its aggregate is derived once
-    /// and spliced in, with the N committed aggregates reused as-is.
-    pub fn warm_gn1_check(
-        &mut self,
-        test: &Gn1Test,
-        live: &LiveTaskSet<T>,
-        snap: &TaskSet<T>,
-        candidate: Option<(usize, &Task<T>)>,
-        device: &Fpga,
-    ) -> TestReport {
-        self.warm_sync(live);
-        let warm = self.warm.as_ref().expect("warm_sync built the state");
-        let aggs: Vec<Gn1Agg<T>> = match candidate {
-            Some((pos, cand)) => {
-                let mut v = Vec::with_capacity(warm.rows.len() + 1);
-                v.extend_from_slice(&warm.rows[..pos]);
-                v.push(Gn1Agg::of(cand));
-                v.extend_from_slice(&warm.rows[pos..]);
-                v
-            }
-            None => warm.rows.clone(),
-        };
-        test.check_with_aggregates(snap, device, &aggs)
-    }
-
-    /// Run `test` over `snap` using the maintained λ-candidate pool,
-    /// bit-identical to `test.check(snap, device)`. Candidate handling as
-    /// in [`IncrementalState::warm_gn1_check`] (the position is not needed:
-    /// the pool is global and sorted, so the candidate's λ values are
-    /// merged by binary search).
-    pub fn warm_gn2_check(
-        &mut self,
-        test: &Gn2Test,
-        live: &LiveTaskSet<T>,
-        snap: &TaskSet<T>,
-        candidate: Option<(usize, &Task<T>)>,
-        device: &Fpga,
-    ) -> TestReport {
-        self.warm_sync(live);
-        let warm = self.warm.as_ref().expect("warm_sync built the state");
-        let mut pool: Vec<T> = warm.pool.iter().map(|&(v, _)| v).collect();
-        if let Some((_, cand)) = candidate {
-            let (u, dens) = pool_values(cand);
-            insert_unique(&mut pool, u);
-            if let Some(d) = dens {
-                insert_unique(&mut pool, d);
-            }
-        }
-        test.check_with_pool(snap, device, &pool)
     }
 }
 
@@ -516,115 +325,6 @@ mod tests {
         let second = t(0.95, 5.0, 6);
         let out = state.evaluate_admit(&live, &second, &dev);
         assert!(out.margin.abs() < 1e-9, "margin {} should be ~0", out.margin);
-    }
-
-    /// Satellite of the verdict-cache PR: after arbitrary admit/release
-    /// churn, the warm GN1/GN2 paths must equal the scratch tests
-    /// **bit-for-bit** (`TestReport` equality covers verdict, reasons and
-    /// every per-task lhs/rhs), mirroring the existing
-    /// incremental-vs-`DpTest` property.
-    #[test]
-    fn warm_gn1_gn2_match_scratch_through_churn() {
-        use crate::traits::SchedTest;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let dev = Fpga::new(20).unwrap();
-        let mut live: LiveTaskSet<f64> = LiveTaskSet::new();
-        let mut state: IncrementalState<f64> = IncrementalState::default();
-        let gn1 = Gn1Test::default();
-        let gn2 = Gn2Test::default();
-        let grid = crate::Gn2Test::with_grid_search(16);
-        let mut rng = StdRng::seed_from_u64(0x474e_3132);
-        let mut handles = Vec::new();
-        for step in 0..240 {
-            if handles.is_empty() || rng.gen_bool(0.6) {
-                let c = f64::from(rng.gen_range(1..=40u32)) * 0.25;
-                let d = c + f64::from(rng.gen_range(1..=40u32)) * 0.5;
-                // Periods both above and below the deadline, so the GN2
-                // pool's density branch (`Di > Ti`) gets real coverage.
-                let p = f64::from(rng.gen_range(1..=40u32)) * 0.5;
-                let cand = Task::new(c, d, p, rng.gen_range(1..=6u32)).unwrap();
-                let (snap, pos) = live.snapshot_with_pos(&cand).unwrap();
-                let want = Some((pos, &cand));
-                assert_eq!(
-                    state.warm_gn1_check(&gn1, &live, &snap, want, &dev),
-                    gn1.check(&snap, &dev),
-                    "gn1 admit step {step}"
-                );
-                assert_eq!(
-                    state.warm_gn2_check(&gn2, &live, &snap, want, &dev),
-                    gn2.check(&snap, &dev),
-                    "gn2 admit step {step}"
-                );
-                assert_eq!(
-                    state.warm_gn2_check(&grid, &live, &snap, want, &dev),
-                    grid.check(&snap, &dev),
-                    "gn2-grid admit step {step}"
-                );
-                let h = live.admit(cand);
-                state.on_admitted(&live, &cand, &dev);
-                handles.push(h);
-            } else {
-                let i = rng.gen_range(0..handles.len());
-                let removed = live.remove(handles.swap_remove(i)).unwrap();
-                state.on_removed(&live, &removed, &dev);
-                if !live.is_empty() {
-                    let snap = live.snapshot().unwrap();
-                    assert_eq!(
-                        state.warm_gn1_check(&gn1, &live, &snap, None, &dev),
-                        gn1.check(&snap, &dev),
-                        "gn1 release step {step}"
-                    );
-                    assert_eq!(
-                        state.warm_gn2_check(&gn2, &live, &snap, None, &dev),
-                        gn2.check(&snap, &dev),
-                        "gn2 release step {step}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// A live-set mutation the state was never told about must not corrupt
-    /// warm verdicts: the length check triggers a rebuild.
-    #[test]
-    fn warm_state_self_heals_after_missed_mutation() {
-        let dev = fpga10();
-        let mut live = LiveTaskSet::new();
-        let mut state: IncrementalState<f64> = IncrementalState::default();
-        let gn1 = Gn1Test::default();
-        let gn2 = Gn2Test::default();
-        live.admit(t(0.5, 4.0, 2));
-        let snap = live.snapshot().unwrap();
-        // Warm the state on the one-task set.
-        state.warm_gn1_check(&gn1, &live, &snap, None, &dev);
-        // Mutate behind the state's back.
-        live.admit(t(1.0, 8.0, 3));
-        let snap = live.snapshot().unwrap();
-        use crate::traits::SchedTest;
-        assert_eq!(state.warm_gn1_check(&gn1, &live, &snap, None, &dev), gn1.check(&snap, &dev));
-        assert_eq!(state.warm_gn2_check(&gn2, &live, &snap, None, &dev), gn2.check(&snap, &dev));
-    }
-
-    /// The warm paths work in exact arithmetic too (generic over `Time`).
-    #[test]
-    fn warm_paths_exact_arithmetic() {
-        use crate::traits::SchedTest;
-        use fpga_rt_model::Rat64;
-        let dev = fpga10();
-        let mut live: LiveTaskSet<Rat64> = LiveTaskSet::new();
-        let mut state: IncrementalState<Rat64> = IncrementalState::default();
-        let first = Task::implicit(Rat64::new(63, 50).unwrap(), Rat64::from_int(7), 9).unwrap();
-        live.admit(first);
-        state.on_admitted(&live, &first, &dev);
-        let cand = Task::implicit(Rat64::new(19, 20).unwrap(), Rat64::from_int(5), 6).unwrap();
-        let (snap, pos) = live.snapshot_with_pos(&cand).unwrap();
-        let gn2 = Gn2Test::default();
-        assert_eq!(
-            state.warm_gn2_check(&gn2, &live, &snap, Some((pos, &cand)), &dev),
-            gn2.check(&snap, &dev)
-        );
     }
 
     /// The state works in exact arithmetic: Table 1's equality is exact.

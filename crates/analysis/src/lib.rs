@@ -81,7 +81,7 @@ pub use batch::{
 };
 pub use composite::{AllOfTest, AnyOfTest};
 pub use dp::{DpAreaBound, DpConfig, DpTest};
-pub use gn1::{Gn1Agg, Gn1BetaDenominator, Gn1Config, Gn1Test};
+pub use gn1::{Gn1BetaDenominator, Gn1Config, Gn1Test};
 pub use gn2::{lambda_pool, Gn2Case2, Gn2Config, Gn2LambdaSearch, Gn2Test};
 pub use incremental::{IncrementalOutcome, IncrementalState};
 pub use necessary::NecessaryTest;

@@ -84,6 +84,23 @@ impl TestReport {
         }
     }
 
+    /// Signed slack of the deciding comparison: on acceptance the minimum
+    /// `rhs − lhs` over the rows (an `f64::min` fold from `+∞` in row
+    /// order), on rejection the last failing row's `rhs − lhs`, and `−∞`
+    /// for a rejection without a failing row (the precondition guard).
+    pub fn margin(&self) -> f64 {
+        if self.accepted() {
+            self.checks.iter().map(|c| c.rhs - c.lhs).fold(f64::INFINITY, f64::min)
+        } else {
+            self.checks
+                .iter()
+                .rev()
+                .find(|c| !c.passed)
+                .map(|c| c.rhs - c.lhs)
+                .unwrap_or(f64::NEG_INFINITY)
+        }
+    }
+
     /// Render a compact multi-line summary (used by the example binaries and
     /// the experiment harness's verbose mode).
     pub fn summarize(&self) -> String {

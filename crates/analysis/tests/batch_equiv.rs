@@ -4,17 +4,21 @@
 //! from all four figure generators' utilization bins, and on knife-edge
 //! tasksets scaled so a deciding comparison sits at (or one ulp around)
 //! exact equality, where any re-association of the floating-point
-//! arithmetic would flip a verdict.
+//! arithmetic would flip a verdict. A third population has the online
+//! admission controller's shape: 20–80 tasks on 100 columns with deadlines
+//! below, at and above their periods, which reaches GN2's case 2, the
+//! density λ candidates and `λmax < 1` — paths the implicit-deadline
+//! figure sets never take.
 
 use fpga_rt_analysis::{
     AnalysisSeries, AnyOfTest, BatchAnalyzer, BatchVerdict, DpTest, Gn1Test, Gn2Test, SchedTest,
     ScratchSpace, TaskSetBatch, TestReport,
 };
-use fpga_rt_gen::{BinnedGenerator, FigureWorkload, UtilizationBins};
+use fpga_rt_gen::{uunifast, BinnedGenerator, FigureWorkload, UtilizationBins};
 use fpga_rt_model::{Fpga, TaskSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// The margin the kernel mirrors: the scalar report's final check row.
 fn scalar_margin(rep: &TestReport) -> Option<(f64, f64)> {
@@ -22,7 +26,11 @@ fn scalar_margin(rep: &TestReport) -> Option<(f64, f64)> {
 }
 
 fn scalar_verdict(rep: &TestReport) -> BatchVerdict {
-    BatchVerdict { accepted: rep.accepted(), margin: scalar_margin(rep) }
+    BatchVerdict {
+        accepted: rep.accepted(),
+        margin: scalar_margin(rep),
+        report_margin: rep.margin(),
+    }
 }
 
 /// Assert all four series match the scalar tests on one taskset.
@@ -39,9 +47,38 @@ fn assert_bit_identical(ts: &TaskSet<f64>, dev: &Fpga, context: &str) {
     for ((name, want), series) in scalar.into_iter().zip(AnalysisSeries::ALL) {
         let got = batch.series(series);
         assert_eq!(got, want, "{name} mismatch on {context}: {ts:?}");
+        // `==` equates 0.0 and −0.0; the report margin must match in bits.
+        assert_eq!(
+            got.report_margin.to_bits(),
+            want.report_margin.to_bits(),
+            "{name} report-margin bits on {context}"
+        );
         let focused = analyzer.analyze_series(series, ts, dev, &mut scratch);
         assert_eq!(focused, want, "{name} focused-kernel mismatch on {context}");
+        assert_eq!(focused.report_margin.to_bits(), want.report_margin.to_bits());
     }
+}
+
+/// An admission-sized taskset for a 100-column device: `n` tasks whose
+/// utilizations are a UUniFast split of `total`, periods in U(5, 20), areas
+/// up to `amax`, and each deadline drawn below, at or above its period
+/// (never below the execution time).
+fn admission_taskset(n: usize, total: f64, amax: u32, seed: u64) -> TaskSet<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let tuples: Vec<(f64, f64, f64, u32)> = uunifast(n, total, &mut rng)
+        .into_iter()
+        .map(|u| {
+            let period: f64 = rng.gen_range(5.0..20.0);
+            let exec = (u.min(1.0) * period).max(1e-3);
+            let deadline = match rng.gen_range(0u32..3) {
+                0 => (period * rng.gen_range(0.5..1.0)).max(exec),
+                1 => period,
+                _ => period * rng.gen_range(1.0..2.0),
+            };
+            (exec, deadline, period, rng.gen_range(1..=amax))
+        })
+        .collect();
+    TaskSet::try_from_tuples(&tuples).expect("drawn tasks validate")
 }
 
 /// Draw one taskset from a figure workload's binned generator, exactly as
@@ -112,6 +149,21 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Admission-sized sets with constrained, implicit and post-period
+    /// deadlines: verdicts, final rows and report margins are
+    /// bit-identical, through GN2's case 2, the density λ candidates,
+    /// `λmax < 1` and many λ attempts per task.
+    #[test]
+    fn admission_sized_sets_are_bit_identical(
+        n in 20usize..=80,
+        total in 0.2f64..2.5,
+        amax in (0usize..4).prop_map(|i| [5u32, 20, 50, 90][i]),
+        seed in 0u64..u64::MAX,
+    ) {
+        let ts = admission_taskset(n, total, amax, seed);
+        assert_bit_identical(&ts, &Fpga::new(100).unwrap(), "admission-sized set");
     }
 
     /// Packing a population into one SoA batch and evaluating it in one

@@ -6,6 +6,10 @@
 use fpga_rt_loadgen::{synthesize, ArrivalProfile, LatencyHistogram, LoadSpec, OpKind};
 use proptest::prelude::*;
 
+#[path = "../../service/tests/poisson_stream/mod.rs"]
+mod poisson_stream;
+use poisson_stream::{poisson_stream, PoissonOp};
+
 fn any_profile() -> impl Strategy<Value = ArrivalProfile> {
     (0u32..3).prop_map(|i| match i {
         0 => ArrivalProfile::Poisson,
@@ -225,5 +229,35 @@ fn empty_and_single_sample_quantiles() {
     one.record(37);
     for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
         assert_eq!(one.quantile(q), Some(37), "q={q}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The service tests draw loadgen's poisson stream from their own copy
+    /// of the generator (the service crate cannot depend on loadgen); the
+    /// copy must equal `synthesize` op for op.
+    #[test]
+    fn service_test_poisson_copy_matches_synthesize(
+        seed in 0u64..u64::MAX,
+        ops in 1usize..600,
+        sessions in 1u32..40,
+        columns in 1u32..200,
+    ) {
+        let spec = LoadSpec { profile: ArrivalProfile::Poisson, ops, sessions, columns, seed };
+        let want = synthesize(&spec).unwrap();
+        let got = poisson_stream(ops, sessions, columns, seed);
+        prop_assert_eq!(want.len(), got.len());
+        for (w, (at_ns, session, op)) in want.iter().zip(got) {
+            prop_assert_eq!((w.at_ns, w.session), (at_ns, session));
+            match (&w.kind, op) {
+                (OpKind::Admit(p), PoissonOp::Admit(c, d, t, a)) => {
+                    prop_assert_eq!((p.exec, p.deadline, p.period, p.area), (c, d, t, a));
+                }
+                (OpKind::Release, PoissonOp::Release) | (OpKind::Query, PoissonOp::Query) => {}
+                (w, g) => prop_assert!(false, "op kinds differ: {:?} vs {:?}", w, g),
+            }
+        }
     }
 }

@@ -179,10 +179,12 @@ impl<Req: Send + 'static, Resp: Send + 'static> ShardedPool<Req, Resp> {
     ///
     /// When `obs` is enabled every worker records, per shard it owns:
     /// `pool/shard<i>/items` (counter), `pool/shard<i>/queue_wait_ns`
-    /// (dispatch-to-processing wait) and `pool/shard<i>/busy_ns`
-    /// (handler time) — both histograms zeroed in deterministic mode, in
-    /// which case the clock is never read. With [`Obs::off`] (what
-    /// [`ShardedPool::new`] passes) the instrumentation is a no-op.
+    /// (from the batch's dispatch to the item's start, so it includes the
+    /// handler time of the items ahead of it on the same worker) and
+    /// `pool/shard<i>/busy_ns` (handler time) — both histograms zeroed in
+    /// deterministic mode, in which case the clock is never read. With
+    /// [`Obs::off`] (what [`ShardedPool::new`] passes) the instrumentation
+    /// is a no-op.
     pub fn with_obs<S, F, H>(config: PoolConfig, obs: Obs, factory: F, handler: H) -> Self
     where
         S: 'static,

@@ -6,32 +6,37 @@
 //! 1. **`dp-inc`** — the incremental DP bound
 //!    ([`fpga_rt_analysis::IncrementalState`]): O(1) against cached
 //!    aggregates for the common case;
-//! 2. **`gn1`** — Theorem 2 on a snapshot of `Γ ∪ {candidate}` (O(N²));
+//! 2. **`gn1`** — Theorem 2 on `Γ ∪ {candidate}` (O(N²));
 //! 3. **`gn2`** — Theorem 3 (O(N³), the sharpest `f64` test);
 //! 4. **`exact`** — when the deciding margin is knife-edge (within
 //!    [`ControllerConfig::exact_margin`] relative slack), the whole cascade
 //!    re-runs in exact [`Rat64`] arithmetic so verdicts like the paper's
 //!    Table 1 equality are *proved* rather than guessed from rounding.
 //!
+//! GN1 and GN2 run on the batch kernel ([`fpga_rt_analysis::batch`]): a
+//! slow-path decision packs `Γ ∪ {candidate}` once, in canonical order,
+//! into a [`ScratchSpace`] the controller owns, and both tiers read their
+//! verdict and margin from that one packing — bit-identical to the scalar
+//! tests on the same snapshot. The scalar [`SchedTest`]s build a
+//! [`TestReport`] only where its rows are read: for `margins` requests and
+//! in the exact tier.
+//!
 //! Accepting commits the candidate to the live set; rejecting leaves state
 //! untouched. Every decision records which tier settled it.
 //!
-//! Two memoization layers sit in front of the cascade, both invisible in
-//! the controller's output by construction:
-//!
-//! * a **verdict cache** (see [`crate::cache`], enabled via
-//!   [`AdmissionController::with_cache`]): a bounded LRU keyed by the
-//!   order-independent fingerprint of the evaluated task multiset, replaying
-//!   whole decisions — verdict, tier, margin, reason, per-task rows — on
-//!   resubmission without running any analysis;
-//! * **warm GN1/GN2 paths** ([`fpga_rt_analysis::IncrementalState`]): cached
-//!   per-task GN1 aggregates and a persistent sorted λ-candidate pool,
-//!   updated incrementally on admit/release, feeding the exact same
-//!   evaluation code the scratch tests use.
+//! A **verdict cache** (see [`crate::cache`], enabled via
+//! [`AdmissionController::with_cache`]) sits in front of the cascade,
+//! invisible in the controller's output by construction: a bounded LRU
+//! keyed by the order-independent fingerprint of the evaluated task
+//! multiset, replaying whole decisions — verdict, tier, margin, reason,
+//! per-task rows — on resubmission without running any analysis.
 
 use crate::cache::{stages, CacheOp, CachedVerdict, TasksetFingerprint, VerdictCache};
 use crate::protocol::{counters, PerTaskMargin, QueryStats};
-use fpga_rt_analysis::{DpTest, Gn1Test, Gn2Test, IncrementalState, SchedTest, TestReport};
+use fpga_rt_analysis::{
+    AnalysisSeries, BatchAnalyzer, DpTest, Gn1Test, Gn2Test, IncrementalState, SchedTest,
+    ScratchSpace, TestReport,
+};
 use fpga_rt_model::{Fpga, LiveTaskSet, Rat64, Task, TaskHandle, TaskSet};
 use fpga_rt_obs::{Obs, SpanTimer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -145,8 +150,8 @@ pub struct AdmissionController {
     device: Fpga,
     live: LiveTaskSet<f64>,
     dp: IncrementalState<f64>,
-    gn1: Gn1Test,
-    gn2: Gn2Test,
+    /// The batch kernel's pack buffer for the GN1/GN2 tiers.
+    scratch: ScratchSpace,
     config: ControllerConfig,
     stats: QueryStats,
     obs: Obs,
@@ -175,8 +180,7 @@ impl AdmissionController {
             device,
             live: LiveTaskSet::new(),
             dp: IncrementalState::default(),
-            gn1: Gn1Test::default(),
-            gn2: Gn2Test::default(),
+            scratch: ScratchSpace::new(),
             config,
             stats: QueryStats::default(),
             obs,
@@ -243,8 +247,8 @@ impl AdmissionController {
     /// Export the controller's durable state for a session snapshot: the
     /// live `(handle, task)` pairs in canonical order, the handle counter
     /// and the accumulated decision statistics. Everything else — the
-    /// incremental DP state, the GN warm paths, the taskset fingerprint —
-    /// is derivable from the live multiset and is rebuilt on restore.
+    /// incremental DP state and the taskset fingerprint — is derivable
+    /// from the live multiset and is rebuilt on restore.
     pub fn export_state(&self) -> (Vec<(TaskHandle, Task<f64>)>, u64, QueryStats) {
         let pairs = self.live.iter().map(|(h, t)| (h, *t)).collect();
         (pairs, self.live.next_handle(), self.stats)
@@ -255,14 +259,13 @@ impl AdmissionController {
     /// The live set is restored in canonical order and its aggregates are
     /// recomputed from scratch, which yields bits identical to any
     /// admit/release history reaching the same multiset (the purity
-    /// contract of [`LiveTaskSet`]). The incremental DP state and the GN
-    /// warm paths reset to their defaults — they re-warm lazily and
-    /// bit-identically from the live set — and the fingerprint is refolded
-    /// from the tasks. The verdict cache restarts empty at the same
-    /// capacity: cache state never changes a response byte, so this is a
-    /// telemetry-only difference. All subsequent verdicts are therefore
-    /// identical to a never-snapshotted twin (property-tested in
-    /// `tests/session_equiv.rs`).
+    /// contract of [`LiveTaskSet`]). The incremental DP state resets to
+    /// its default — it re-warms lazily and bit-identically from the live
+    /// set — and the fingerprint is refolded from the tasks. The verdict
+    /// cache restarts empty at the same capacity: cache state never
+    /// changes a response byte, so this is a telemetry-only difference.
+    /// All subsequent verdicts are therefore identical to a
+    /// never-snapshotted twin (property-tested in `tests/session_equiv.rs`).
     pub fn restore_state(
         &mut self,
         pairs: Vec<(TaskHandle, Task<f64>)>,
@@ -277,8 +280,6 @@ impl AdmissionController {
         self.live = live;
         self.fp = fp;
         self.dp = IncrementalState::default();
-        self.gn1 = Gn1Test::default();
-        self.gn2 = Gn2Test::default();
         self.stats = stats;
         if let Some(cache) = &self.cache {
             self.cache = Some(VerdictCache::new(cache.capacity()));
@@ -504,13 +505,11 @@ impl AdmissionController {
             return (decision, Some(handle));
         }
 
-        // Slow path: evaluate Γ ∪ {candidate} as a snapshot.
-        let (snap, pos) =
-            self.live.snapshot_with_pos(&task).expect("candidate makes the set non-empty");
-        let outcome = self.cascade_decide(&snap, dp_out, new_us, Some((pos, &task)));
+        // Slow path: evaluate Γ ∪ {candidate} on the batch kernel.
+        let outcome = self.cascade_decide(Some(&task), dp_out, new_us, want_margins);
         self.record(outcome.tier, outcome.accepted, decision_span);
+        let rejected_pos = (!outcome.accepted).then(|| self.live.canonical_position(&task));
         let handle = if outcome.accepted { Some(self.commit(task)) } else { None };
-        let rejected_pos = (!outcome.accepted).then_some(pos);
         let per_task = match (&outcome.report, want_margins) {
             (Some(report), true) => Some(self.margin_rows(report, rejected_pos)),
             _ => None,
@@ -537,59 +536,88 @@ impl AdmissionController {
         (decision, handle)
     }
 
+    /// The evaluated set in canonical order: `Γ ∪ {candidate}` with the
+    /// candidate at its canonical position, or `Γ` for a query.
+    fn snapshot(&self, candidate: Option<&Task<f64>>) -> TaskSet<f64> {
+        match candidate {
+            Some(task) => self.live.snapshot_with(task),
+            None => self.live.snapshot(),
+        }
+        .expect("the evaluated set is non-empty")
+    }
+
+    /// Pack the evaluated set into the scratch space, in the order of
+    /// [`AdmissionController::snapshot`] but without building it.
+    fn pack(&mut self, candidate: Option<&Task<f64>>) {
+        let tasks = self.live.iter().map(|(_, t)| t);
+        match candidate {
+            Some(task) => {
+                let pos = self.live.canonical_position(task);
+                let tail = self.live.iter().skip(pos).map(|(_, t)| t);
+                self.scratch.pack(tasks.take(pos).chain(std::iter::once(task)).chain(tail));
+            }
+            None => self.scratch.pack(tasks),
+        }
+    }
+
+    /// The scalar report of the accepting GN tier on `snap`, for margin
+    /// rows.
+    fn gn_report(&self, tier: Tier, snap: &TaskSet<f64>) -> TestReport {
+        match tier {
+            Tier::Gn1 => Gn1Test::default().check(snap, &self.device),
+            _ => Gn2Test::default().check(snap, &self.device),
+        }
+    }
+
     /// Shared slow path of [`AdmissionController::admit`] and
-    /// [`AdmissionController::query`]: run GN1 then (only if needed) GN2 on
-    /// the snapshot, escalate to the exact tier when any *computed* margin
-    /// is knife-edge, and fall back to the f64 verdict when exact
-    /// arithmetic is unavailable for this set.
+    /// [`AdmissionController::query`]: pack the evaluated set once, run
+    /// the batch kernel's GN1 and then (only if needed) GN2 on it, escalate
+    /// to the exact tier when any *computed* margin is knife-edge, and fall
+    /// back to the f64 verdict when exact arithmetic is unavailable for
+    /// this set.
     ///
-    /// `candidate` is the admission candidate and its canonical position in
-    /// `snap` (None for queries); GN1/GN2 run through the warm paths of
-    /// [`IncrementalState`], splicing the candidate into the maintained
-    /// aggregates — bit-identical to scratch evaluation of `snap`.
+    /// `candidate` is the admission candidate (None for queries). The
+    /// kernel's verdicts and margins are bit-identical to the scalar tests
+    /// on [`AdmissionController::snapshot`]; that snapshot is built only
+    /// for the exact tier and, with `want_margins`, for the accepting
+    /// tier's scalar report.
     fn cascade_decide(
         &mut self,
-        snap: &TaskSet<f64>,
+        candidate: Option<&Task<f64>>,
         dp_out: fpga_rt_analysis::IncrementalOutcome<f64>,
         us: f64,
-        candidate: Option<(usize, &Task<f64>)>,
+        want_margins: bool,
     ) -> CascadeOutcome {
         let mut knife = self.knife_edge(dp_out.margin, us);
         let mut best_margin = dp_out.margin;
-        let mut decided: Option<(Tier, f64, TestReport)> = None;
+        let mut decided: Option<(Tier, f64)> = None;
         let mut mask = stages::DP;
 
+        self.pack(candidate);
         // Lazy escalation: GN2 (O(N³)) only runs when GN1 did not accept.
-        for tier in [Tier::Gn1, Tier::Gn2] {
+        for (tier, series, stage, bit) in [
+            (Tier::Gn1, AnalysisSeries::Gn1, "admission/stage/gn1_ns", stages::GN1),
+            (Tier::Gn2, AnalysisSeries::Gn2, "admission/stage/gn2_ns", stages::GN2),
+        ] {
             let stage_span = self.obs.span();
-            let (report, stage, bit) = match tier {
-                Tier::Gn1 => (
-                    self.dp.warm_gn1_check(&self.gn1, &self.live, snap, candidate, &self.device),
-                    "admission/stage/gn1_ns",
-                    stages::GN1,
-                ),
-                _ => (
-                    self.dp.warm_gn2_check(&self.gn2, &self.live, snap, candidate, &self.device),
-                    "admission/stage/gn2_ns",
-                    stages::GN2,
-                ),
-            };
+            let verdict =
+                BatchAnalyzer::new().analyze_packed(series, &self.device, &mut self.scratch);
             self.obs.record_ns(stage, stage_span.elapsed_ns());
             mask |= bit;
-            let margin = report_margin(&report);
+            let margin = verdict.report_margin;
             knife |= self.knife_edge(margin, us);
             best_margin = best_margin.max(margin);
-            if report.accepted() {
-                decided = Some((tier, margin, report));
+            if verdict.accepted {
+                decided = Some((tier, margin));
                 break;
             }
         }
-
         // Knife-edge anywhere: settle the verdict in exact arithmetic.
         if knife {
             mask |= stages::EXACT;
+            let snap = self.snapshot(candidate);
             let exact_span = self.obs.span();
-            let exact_result = exact_cascade(snap, &self.device, self.config.max_denominator);
+            let exact_result = exact_cascade(&snap, &self.device, self.config.max_denominator);
             self.obs.record_ns("admission/stage/exact_ns", exact_span.elapsed_ns());
             match exact_result {
                 Ok(exact) => {
@@ -607,12 +635,12 @@ impl AdmissionController {
                     // to the f64 verdict, noting the degradation.
                     let note = format!("exact re-check unavailable ({overflow}); f64 verdict");
                     return match decided {
-                        Some((tier, margin, report)) => CascadeOutcome {
+                        Some((tier, margin)) => CascadeOutcome {
                             accepted: true,
                             tier,
                             margin: finite(margin),
                             reason: Some(note),
-                            report: Some(report),
+                            report: want_margins.then(|| self.gn_report(tier, &snap)),
                             stages: mask,
                         },
                         None if dp_out.accepted => CascadeOutcome {
@@ -637,12 +665,12 @@ impl AdmissionController {
         }
 
         match decided {
-            Some((tier, margin, report)) => CascadeOutcome {
+            Some((tier, margin)) => CascadeOutcome {
                 accepted: true,
                 tier,
                 margin: finite(margin),
                 reason: None,
-                report: Some(report),
+                report: want_margins.then(|| self.gn_report(tier, &self.snapshot(candidate))),
                 stages: mask,
             },
             None => CascadeOutcome {
@@ -734,8 +762,7 @@ impl AdmissionController {
                 per_task,
             };
         }
-        let snap = self.live.snapshot().expect("non-empty");
-        let outcome = self.cascade_decide(&snap, dp_out, us, None);
+        let outcome = self.cascade_decide(None, dp_out, us, want_margins);
         let per_task = match (&outcome.report, want_margins) {
             (Some(report), true) => Some(self.margin_rows(report, None)),
             _ => None,
@@ -782,22 +809,6 @@ fn finite(m: f64) -> Option<f64> {
 /// Cacheable `(canonical index, margin)` pairs of computed margin rows.
 fn rows_of(rows: &[PerTaskMargin]) -> Vec<(usize, f64)> {
     rows.iter().map(|r| (r.index, r.margin)).collect()
-}
-
-/// Signed slack of a report's deciding comparison: the minimum `rhs − lhs`
-/// over all rows on acceptance, the failing row's `rhs − lhs` on rejection.
-fn report_margin(report: &TestReport) -> f64 {
-    if report.accepted() {
-        report.checks.iter().map(|c| c.rhs - c.lhs).fold(f64::INFINITY, f64::min)
-    } else {
-        report
-            .checks
-            .iter()
-            .rev()
-            .find(|c| !c.passed)
-            .map(|c| c.rhs - c.lhs)
-            .unwrap_or(f64::NEG_INFINITY)
-    }
 }
 
 /// Result of the exact-arithmetic re-check.
@@ -858,7 +869,7 @@ fn exact_cascade(
     match caught {
         Ok((name, report)) => {
             let accepted = report.accepted();
-            let margin = report_margin(&report);
+            let margin = report.margin();
             let reason = if accepted {
                 format!("exact re-check: accepted by {name}")
             } else {

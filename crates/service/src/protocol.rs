@@ -375,8 +375,8 @@ pub struct SnapshotTask {
 /// `snapshot` op and consumed by `restore`. Contains the canonical-order
 /// live task vector, the handle counter and the accumulated decision
 /// statistics; every incremental aggregate (utilization sums, DP state,
-/// fingerprint, GN warm paths) is rebuilt on restore and is bit-identical
-/// to the never-snapshotted twin by the live set's purity contract.
+/// fingerprint) is rebuilt on restore and is bit-identical to the
+/// never-snapshotted twin by the live set's purity contract.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionSnapshot {
     /// Lifecycle state at snapshot time: `"active"` or `"paused"`. A

@@ -7,11 +7,27 @@
 //! `fpga-rt serve --columns 10 --shards 4 --batch 16 --deterministic`
 //! (the CI pipeline re-runs that exact pipe and diffs). The session is
 //! scripted so every cascade tier decides at least one request.
+//!
+//! `testdata/poisson.requests.jsonl` is `poisson_request_stream(POISSON_OPS)`
+//! (pinned by `poisson_fixture_is_its_generator`): one v2 session on a
+//! 100-column device fed loadgen's `poisson` stream, so the live set grows
+//! to dozens of tasks and GN2 decides most admissions. Its golden comes
+//! from `fpga-rt serve --columns 100 --shards 4 --batch 16 --deterministic`.
 
-use fpga_rt_service::{serve_session, Response, ServeConfig, SessionStats};
+mod poisson_stream;
+
+use fpga_rt_model::{Fpga, Task};
+use fpga_rt_service::{
+    serve_session, AdmissionController, ControllerConfig, Response, ServeConfig, SessionStats,
+};
+use poisson_stream::{poisson_stream, PoissonOp};
+use std::collections::VecDeque;
 
 const REQUESTS: &str = include_str!("../testdata/requests.jsonl");
 const GOLDEN: &str = include_str!("../testdata/responses.golden.jsonl");
+
+const POISSON_REQUESTS: &str = include_str!("../testdata/poisson.requests.jsonl");
+const POISSON_GOLDEN: &str = include_str!("../testdata/poisson.responses.golden.jsonl");
 
 const RESUBMIT_REQUESTS: &str = include_str!("../testdata/resubmit.requests.jsonl");
 const RESUBMIT_GOLDEN: &str = include_str!("../testdata/resubmit.responses.golden.jsonl");
@@ -113,9 +129,95 @@ fn request_stream(n: usize) -> String {
     out
 }
 
+/// Ops of loadgen's poisson stream in the GN2-heavy fixture.
+const POISSON_OPS: usize = 500;
+
+/// The GN2-heavy request stream: loadgen's `poisson` ops (seed 7) for one
+/// v2 session on 100 columns. Every 5th admit is rewritten to a deadline
+/// below its period and every 7th to one above it (GN2's case 2 and its
+/// density λ candidates need `D > T`); every 25th asks for margin rows.
+/// A release names the session's oldest live handle, as loadgen's replay
+/// does, which a controller fed the same admits tracks; with nothing live
+/// it degrades to a query.
+fn poisson_request_stream(ops: usize) -> String {
+    let session = "poisson";
+    let mut ctl = AdmissionController::new(Fpga::new(100).unwrap(), ControllerConfig::default());
+    let mut live = VecDeque::new();
+    let mut lines = vec![format!(r#"{{"session":"{session}","op":"create"}}"#)];
+    let query = format!(r#"{{"session":"{session}","op":"query"}}"#);
+    let mut admits = 0usize;
+    for (_, _, op) in poisson_stream(ops, 1, 100, 7) {
+        match op {
+            PoissonOp::Admit(exec, deadline, period, area) => {
+                admits += 1;
+                let deadline = match admits {
+                    n if n % 5 == 0 => (0.8 * period).max(exec),
+                    n if n % 7 == 0 => 1.5 * period,
+                    _ => deadline,
+                };
+                let margins = admits % 25 == 0;
+                let task = Task::new(exec, deadline, period, area).expect("valid candidate");
+                live.extend(ctl.admit(task, margins).1);
+                let margins = if margins { r#","margins":true"# } else { "" };
+                lines.push(format!(
+                    r#"{{"session":"{session}","op":"admit","task":{{"exec":{exec:?},"deadline":{deadline:?},"period":{period:?},"area":{area}}}{margins}}}"#
+                ));
+            }
+            PoissonOp::Release => match live.pop_front() {
+                Some(handle) => {
+                    ctl.release(handle).expect("oldest handle is live");
+                    lines.push(format!(
+                        r#"{{"session":"{session}","op":"release","handle":{}}}"#,
+                        handle.0
+                    ));
+                }
+                None => lines.push(query.clone()),
+            },
+            PoissonOp::Query => lines.push(query.clone()),
+        }
+    }
+    let mut out = lines.join("\n");
+    out.push('\n');
+    out
+}
+
 #[test]
 fn request_fixture_is_its_generator() {
     assert_eq!(request_stream(100), REQUESTS);
+}
+
+#[test]
+fn poisson_fixture_is_its_generator() {
+    assert_eq!(poisson_request_stream(POISSON_OPS), POISSON_REQUESTS);
+}
+
+/// The GN2-heavy transcript replays byte for byte at one and four workers,
+/// and it is as heavy as it claims: dozens of live tasks and at least 100
+/// decisions settled by the GN2 tier.
+#[test]
+fn poisson_session_matches_golden_and_is_gn2_heavy() {
+    for workers in [1, 4] {
+        let config = ServeConfig {
+            shards: 4,
+            batch: 16,
+            workers,
+            deterministic: true,
+            ..ServeConfig::new(100)
+        };
+        let mut out = Vec::new();
+        serve_session(&mut POISSON_REQUESTS.as_bytes(), &mut out, &config).expect("session runs");
+        let out = String::from_utf8(out).expect("utf-8");
+        for (i, (ours, golden)) in out.lines().zip(POISSON_GOLDEN.lines()).enumerate() {
+            assert_eq!(ours, golden, "workers={workers}: transcript diverges at line {i}");
+        }
+        assert_eq!(out, POISSON_GOLDEN, "workers={workers}");
+    }
+    let responses: Vec<Response> =
+        POISSON_GOLDEN.lines().map(|l| serde_json::from_str(l).expect("response JSON")).collect();
+    let gn2 = responses.iter().filter(|r| r.tier.as_deref() == Some("gn2")).count();
+    let live = responses.iter().filter_map(|r| r.tasks).max().unwrap_or(0);
+    assert!(gn2 >= 100, "only {gn2} gn2-tier decisions");
+    assert!(live >= 40, "at most {live} live tasks");
 }
 
 #[test]

@@ -6,9 +6,9 @@
 //! statistics at the end.
 //!
 //! This is the contract that makes the server's `snapshot`/`restore`
-//! lifecycle ops safe: everything not exported (incremental DP state, GN
-//! warm paths, taskset fingerprint, verdict cache) must be derivable from
-//! the live multiset or provably response-invisible.
+//! lifecycle ops safe: everything not exported (incremental DP state, the
+//! batch kernel's scratch space, taskset fingerprint, verdict cache) must
+//! be derivable from the live multiset or provably response-invisible.
 
 use fpga_rt_gen::FigureWorkload;
 use fpga_rt_model::{Fpga, Task, TaskHandle};
@@ -121,7 +121,7 @@ proptest! {
         replay_with_snapshot(&pool, workload.device(), 120, snap_at, seed ^ 0x5eed);
     }
 
-    /// Knife-edge streams (exact-tier escalations, GN warm-path resets):
+    /// Knife-edge streams (exact-tier escalations, incremental-DP resets):
     /// the restored twin re-warms bit-identically.
     #[test]
     fn knife_edge_streams_survive_snapshot_restore(
@@ -133,7 +133,7 @@ proptest! {
 }
 
 /// Fixed-seed witness: restoring into an *already warm* stream (snapshot
-/// late, after the GN paths and cache have state) still converges — kept
+/// late, after the DP state and cache have state) still converges — kept
 /// deterministic so it cannot flake.
 #[test]
 fn late_snapshot_of_a_warm_controller_is_invisible() {
