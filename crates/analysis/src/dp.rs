@@ -19,10 +19,15 @@
 //! the Goossens–Funk–Baruah (GFB) multiprocessor bound
 //! `UT(Γ) ≤ m(1 − umax) + umax` — see [`crate::mp::GfbTest`] and the
 //! `mp_reduction` integration tests.
+//!
+//! An online admission controller asks the same question of a mutating
+//! [`LiveTaskSet`]: [`DpTest::live_slack`] evaluates the bound on
+//! `Γ ∪ {candidate}` (or on `Γ` itself) straight from the live set, in its
+//! canonical order, without building a snapshot.
 
 use crate::report::{TaskCheck, TestReport, Verdict};
 use crate::traits::{precondition_reject, SchedTest};
-use fpga_rt_model::{Fpga, TaskSet, Time};
+use fpga_rt_model::{Fpga, LiveTaskSet, Task, TaskSet, Time};
 use serde::{Deserialize, Serialize};
 
 /// Which area bound the DP test uses in overload situations.
@@ -49,6 +54,27 @@ pub struct DpTest {
     config: DpConfig,
 }
 
+/// Theorem 1's verdict on a live set ([`DpTest::live_slack`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DpSlack<T> {
+    /// Whether `US ≤ min_k g_k` holds for the evaluated set.
+    pub accepted: bool,
+    /// Signed slack of the binding comparison, `min_k g_k − US`:
+    /// non-negative on acceptance, negative on rejection, and close to zero
+    /// on knife-edge verdicts that deserve an exact re-check. The empty set
+    /// has no comparison; its slack is the busy-area bound at `Amax = 0`
+    /// (`A(H) + 1` by default).
+    pub margin: T,
+    /// `US` of the evaluated set, folded in canonical order.
+    pub us: T,
+}
+
+/// Per-task capacity `g_k = Abnd·(1 − UT(τk)) + US(τk)`, the right-hand
+/// side of task k's inequality.
+fn capacity<T: Time>(abnd: T, task: &Task<T>) -> T {
+    abnd * (T::ONE - task.time_utilization()) + task.system_utilization()
+}
+
 impl DpTest {
     /// Test with the given configuration.
     pub fn new(config: DpConfig) -> Self {
@@ -66,11 +92,47 @@ impl DpTest {
     }
 
     /// The busy-area bound `A(H) − Amax (+ 1)` as a [`Time`] value.
-    fn area_bound<T: Time>(&self, taskset: &TaskSet<impl Time>, device: &Fpga) -> T {
-        let base = i64::from(device.columns()) - i64::from(taskset.amax());
+    fn area_bound<T: Time>(&self, amax: u32, device: &Fpga) -> T {
+        let base = i64::from(device.columns()) - i64::from(amax);
         match self.config.area_bound {
             DpAreaBound::IntegerColumns => T::from_i64(base + 1),
             DpAreaBound::RealValued => T::from_i64(base),
+        }
+    }
+
+    /// The bound on `Γ ∪ {candidate}`, or on `Γ` when `candidate` is
+    /// `None`, evaluated from a live set without a snapshot: O(N) per call.
+    ///
+    /// `US` is the live set's canonical-order fold
+    /// ([`LiveTaskSet::system_utilization_with`] for a candidate,
+    /// [`LiveTaskSet::system_utilization`] otherwise), so the slack is a
+    /// pure function of the evaluated multiset. The empty set accepts with
+    /// the full busy-area bound as its slack.
+    ///
+    /// Like [`SchedTest::check`] after its guard, this assumes every task
+    /// fits the device and has `C ≤ D`; an admission controller checks both
+    /// before consulting the bound.
+    pub fn live_slack<T: Time>(
+        &self,
+        live: &LiveTaskSet<T>,
+        candidate: Option<&Task<T>>,
+        device: &Fpga,
+    ) -> DpSlack<T> {
+        let amax = live.amax().max(candidate.map_or(0, Task::area));
+        let abnd: T = self.area_bound(amax, device);
+        let us = match candidate {
+            Some(task) => live.system_utilization_with(task),
+            None => live.system_utilization(),
+        };
+        let min_g = live
+            .iter()
+            .map(|(_, t)| t)
+            .chain(candidate)
+            .map(|t| capacity(abnd, t))
+            .reduce(T::min_t);
+        match min_g {
+            Some(min_g) => DpSlack { accepted: us <= min_g, margin: min_g - us, us },
+            None => DpSlack { accepted: true, margin: abnd, us },
         }
     }
 }
@@ -89,12 +151,12 @@ impl<T: Time> SchedTest<T> for DpTest {
             return rep;
         }
 
-        let abnd: T = self.area_bound::<T>(taskset, device);
+        let abnd: T = self.area_bound(taskset.amax(), device);
         let us_total = taskset.system_utilization();
         let mut checks = Vec::with_capacity(taskset.len());
 
         for (id, t) in taskset.iter() {
-            let rhs = abnd * (T::ONE - t.time_utilization()) + t.system_utilization();
+            let rhs = capacity(abnd, t);
             let passed = us_total <= rhs;
             checks.push(TaskCheck {
                 task: id,
@@ -212,5 +274,68 @@ mod tests {
     fn names_distinguish_variants() {
         assert_eq!(SchedTest::<f64>::name(&DpTest::default()), "DP");
         assert_eq!(SchedTest::<f64>::name(&DpTest::original_danne()), "DP-real");
+    }
+
+    fn t(c: f64, p: f64, a: u32) -> Task<f64> {
+        Task::implicit(c, p, a).unwrap()
+    }
+
+    /// The live-set verdict equals the offline check on the same snapshot,
+    /// across a scripted admit/release churn.
+    #[test]
+    fn live_slack_matches_offline_dp_through_churn() {
+        let dev = fpga10();
+        let dp = DpTest::default();
+        let mut live = LiveTaskSet::new();
+        // Dyadic parameters: f64 sums are exact, so verdicts cannot be
+        // flipped by accumulation order.
+        let script = [(0.25, 4.0, 3), (0.5, 8.0, 9), (1.0, 4.0, 2), (0.75, 2.0, 5)];
+        let mut handles = Vec::new();
+        for &(c, p, a) in &script {
+            let cand = t(c, p, a);
+            let slack = dp.live_slack(&live, Some(&cand), &dev);
+            let offline = dp.is_schedulable(&live.snapshot_with(&cand).unwrap(), &dev);
+            assert_eq!(slack.accepted, offline, "admit {cand:?}");
+            if slack.accepted {
+                handles.push(live.admit(cand));
+            }
+        }
+        assert!(!handles.is_empty());
+        // Release everything one by one, re-checking the current verdict.
+        while let Some(h) = handles.pop() {
+            live.remove(h).unwrap();
+            if !live.is_empty() {
+                let offline = dp.is_schedulable(&live.snapshot().unwrap(), &dev);
+                assert_eq!(dp.live_slack(&live, None, &dev).accepted, offline);
+            }
+        }
+        // The empty set accepts with the whole busy-area bound, A(H) + 1.
+        let empty = dp.live_slack(&live, None, &dev);
+        assert!(empty.accepted, "empty set accepts");
+        assert_eq!(empty.margin, 11.0);
+    }
+
+    /// Table 1 admitted task-by-task: the second admission sits exactly on
+    /// the DP bound, so the margin collapses to (numerically) zero — the
+    /// knife-edge signal an admission cascade escalates on.
+    #[test]
+    fn table1_live_margin_is_knife_edge() {
+        let dev = fpga10();
+        let mut live = LiveTaskSet::new();
+        live.admit(t(1.26, 7.0, 9));
+        let out = DpTest::default().live_slack(&live, Some(&t(0.95, 5.0, 6)), &dev);
+        assert!(out.margin.abs() < 1e-9, "margin {} should be ~0", out.margin);
+    }
+
+    /// In exact arithmetic Table 1's equality is exact on the live set too.
+    #[test]
+    fn table1_live_slack_exact() {
+        let dev = fpga10();
+        let mut live: LiveTaskSet<Rat64> = LiveTaskSet::new();
+        live.admit(Task::implicit(Rat64::new(63, 50).unwrap(), Rat64::from_int(7), 9).unwrap());
+        let second = Task::implicit(Rat64::new(19, 20).unwrap(), Rat64::from_int(5), 6).unwrap();
+        let out = DpTest::default().live_slack(&live, Some(&second), &dev);
+        assert!(out.accepted, "exact equality satisfies the non-strict bound");
+        assert_eq!(out.margin, Rat64::ZERO);
     }
 }

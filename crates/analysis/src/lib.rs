@@ -6,7 +6,9 @@
 //!
 //! * [`DpTest`] — **Theorem 1 (DP)**: the Danne–Platzner GFB-style total
 //!   utilization bound, with the paper's integer-area correction
-//!   (`A(H) − Amax + 1`).
+//!   (`A(H) − Amax + 1`); [`DpTest::live_slack`] evaluates it on a mutating
+//!   [`fpga_rt_model::LiveTaskSet`] for the `fpga-rt-service` admission
+//!   cascade.
 //! * [`Gn1Test`] — **Theorem 2 (GN1)**: BCL-style per-task interference test
 //!   for EDF-NF, exploiting the *interval*-α-work-conserving property
 //!   (Lemma 2) for the tighter per-task bound `A(H) − Ak + 1`.
@@ -26,10 +28,6 @@
 //!   packed tasksets ([`TaskSetBatch`]) with zero per-taskset heap
 //!   allocation, bit-identical to the scalar tests (the sweep and
 //!   conformance engines ride this kernel).
-//! * [`IncrementalState`] — aggregate-caching online admission state for the
-//!   DP bound: O(1) re-checks against a mutating
-//!   [`fpga_rt_model::LiveTaskSet`], powering the `fpga-rt-service`
-//!   admission cascade.
 //!
 //! All tests are generic over [`fpga_rt_model::Time`], so each verdict can be
 //! computed in `f64` (fast) or in exact rational arithmetic
@@ -70,7 +68,6 @@ pub mod composite;
 pub mod dp;
 pub mod gn1;
 pub mod gn2;
-pub mod incremental;
 pub mod mp;
 pub mod necessary;
 pub mod report;
@@ -80,10 +77,9 @@ pub use batch::{
     AnalysisSeries, BatchAnalyzer, BatchVerdict, BatchVerdicts, ScratchSpace, TaskSetBatch,
 };
 pub use composite::{AllOfTest, AnyOfTest};
-pub use dp::{DpAreaBound, DpConfig, DpTest};
+pub use dp::{DpAreaBound, DpConfig, DpSlack, DpTest};
 pub use gn1::{Gn1BetaDenominator, Gn1Config, Gn1Test};
 pub use gn2::{lambda_pool, Gn2Case2, Gn2Config, Gn2LambdaSearch, Gn2Test};
-pub use incremental::{IncrementalOutcome, IncrementalState};
 pub use necessary::NecessaryTest;
 pub use report::{TaskCheck, TestReport, Verdict};
 pub use traits::SchedTest;

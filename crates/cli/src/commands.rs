@@ -69,7 +69,8 @@ pub fn check(args: &Args, out: &mut dyn Write) -> CmdResult {
             // fraction conversion cannot fail here.
             let ts_x = ts_f
                 .map_time(|v| {
-                    Rat64::approx_f64(v, 1_000_000).expect("validated finite task parameters")
+                    Rat64::approx_f64(v, Rat64::TASK_MAX_DENOMINATOR)
+                        .expect("validated finite task parameters")
                 })
                 .map_err(|e| e.to_string())?;
             let tests = selected_tests(which)?;
@@ -244,7 +245,8 @@ pub fn size(args: &Args, out: &mut dyn Write) -> CmdResult {
     let rows = if args.has("exact") {
         let ts_x = ts
             .map_time(|v| {
-                Rat64::approx_f64(v, 1_000_000).expect("validated finite task parameters")
+                Rat64::approx_f64(v, Rat64::TASK_MAX_DENOMINATOR)
+                    .expect("validated finite task parameters")
             })
             .map_err(|e| e.to_string())?;
         catch_rat64_overflow(move || size_rows(&ts_x, lo, max))?
@@ -571,7 +573,6 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> CmdResult {
         workers: positive_count(args, "workers")?.unwrap_or(0),
         batch: positive_count(args, "batch")?.unwrap_or(64),
         exact_margin: non_negative(args, "exact-margin", 1e-9)?,
-        max_denominator: 1_000_000,
         deterministic: args.has("deterministic"),
         cache: cache_entries(args)?,
         sessions: positive_count(args, "sessions")?,

@@ -75,6 +75,11 @@ impl Rat64 {
     pub const ZERO: Rat64 = Rat64 { num: 0, den: 1 };
     /// The value one.
     pub const ONE: Rat64 = Rat64 { num: 1, den: 1 };
+    /// Denominator cap for converting `f64` task parameters to exact
+    /// rationals with [`Rat64::approx_f64`], shared by every exact mode
+    /// that starts from `f64` input (the admission controller's exact tier
+    /// and the CLI's `--exact` flags).
+    pub const TASK_MAX_DENOMINATOR: u32 = 1_000_000;
 
     /// Construct `num/den`, normalizing sign and common factors.
     ///

@@ -155,8 +155,9 @@ pub mod stages {
     pub const EXACT: u8 = 8;
 }
 
-/// A memoized decision, sufficient to replay the controller's externally
-/// visible behavior without re-running any analysis.
+/// A decision as the controller's cascade computes it and the cache
+/// memoizes it, sufficient to replay the controller's externally visible
+/// behavior without re-running any analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedVerdict {
     /// Whether the evaluated set was schedulable.

@@ -3,9 +3,8 @@
 //! Each [`AdmissionController`] owns a live taskset and answers
 //! admit/release/query operations. An admission runs through the cascade
 //!
-//! 1. **`dp-inc`** — the incremental DP bound
-//!    ([`fpga_rt_analysis::IncrementalState`]): O(1) against cached
-//!    aggregates for the common case;
+//! 1. **`dp-inc`** — Theorem 1 on `Γ ∪ {candidate}`, read straight from the
+//!    live set ([`DpTest::live_slack`], O(N));
 //! 2. **`gn1`** — Theorem 2 on `Γ ∪ {candidate}` (O(N²));
 //! 3. **`gn2`** — Theorem 3 (O(N³), the sharpest `f64` test);
 //! 4. **`exact`** — when the deciding margin is knife-edge (within
@@ -21,8 +20,10 @@
 //! [`TestReport`] only where its rows are read: for `margins` requests and
 //! in the exact tier.
 //!
-//! Accepting commits the candidate to the live set; rejecting leaves state
-//! untouched. Every decision records which tier settled it.
+//! Admissions and queries share one decision path: cache lookup, the
+//! cascade, then memoization. Accepting commits the candidate to the live
+//! set; rejecting leaves state untouched. Every admission records which
+//! tier settled it.
 //!
 //! A **verdict cache** (see [`crate::cache`], enabled via
 //! [`AdmissionController::with_cache`]) sits in front of the cascade,
@@ -34,8 +35,7 @@
 use crate::cache::{stages, CacheOp, CachedVerdict, TasksetFingerprint, VerdictCache};
 use crate::protocol::{counters, PerTaskMargin, QueryStats};
 use fpga_rt_analysis::{
-    AnalysisSeries, BatchAnalyzer, DpTest, Gn1Test, Gn2Test, IncrementalState, SchedTest,
-    ScratchSpace, TestReport,
+    AnalysisSeries, BatchAnalyzer, DpTest, Gn1Test, Gn2Test, SchedTest, ScratchSpace, TestReport,
 };
 use fpga_rt_model::{Fpga, LiveTaskSet, Rat64, Task, TaskHandle, TaskSet};
 use fpga_rt_obs::{Obs, SpanTimer};
@@ -44,7 +44,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// Which cascade tier settled a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Incremental DP bound (Theorem 1 against cached aggregates).
+    /// DP bound (Theorem 1 on the live set; wire name `dp-inc`).
     IncrementalDp,
     /// GN1 (Theorem 2).
     Gn1,
@@ -133,14 +133,11 @@ pub struct ControllerConfig {
     /// Relative margin below which a verdict counts as knife-edge and is
     /// escalated to the exact tier.
     pub exact_margin: f64,
-    /// Largest denominator for the `f64 → Rat64` conversion of the exact
-    /// tier (continued-fraction approximation).
-    pub max_denominator: u32,
 }
 
 impl Default for ControllerConfig {
     fn default() -> Self {
-        ControllerConfig { exact_margin: 1e-9, max_denominator: 1_000_000 }
+        ControllerConfig { exact_margin: 1e-9 }
     }
 }
 
@@ -149,7 +146,6 @@ impl Default for ControllerConfig {
 pub struct AdmissionController {
     device: Fpga,
     live: LiveTaskSet<f64>,
-    dp: IncrementalState<f64>,
     /// The batch kernel's pack buffer for the GN1/GN2 tiers.
     scratch: ScratchSpace,
     config: ControllerConfig,
@@ -179,7 +175,6 @@ impl AdmissionController {
         AdmissionController {
             device,
             live: LiveTaskSet::new(),
-            dp: IncrementalState::default(),
             scratch: ScratchSpace::new(),
             config,
             stats: QueryStats::default(),
@@ -246,9 +241,8 @@ impl AdmissionController {
 
     /// Export the controller's durable state for a session snapshot: the
     /// live `(handle, task)` pairs in canonical order, the handle counter
-    /// and the accumulated decision statistics. Everything else — the
-    /// incremental DP state and the taskset fingerprint — is derivable
-    /// from the live multiset and is rebuilt on restore.
+    /// and the accumulated decision statistics. The taskset fingerprint is
+    /// derivable from the live multiset and is rebuilt on restore.
     pub fn export_state(&self) -> (Vec<(TaskHandle, Task<f64>)>, u64, QueryStats) {
         let pairs = self.live.iter().map(|(h, t)| (h, *t)).collect();
         (pairs, self.live.next_handle(), self.stats)
@@ -259,13 +253,12 @@ impl AdmissionController {
     /// The live set is restored in canonical order and its aggregates are
     /// recomputed from scratch, which yields bits identical to any
     /// admit/release history reaching the same multiset (the purity
-    /// contract of [`LiveTaskSet`]). The incremental DP state resets to
-    /// its default — it re-warms lazily and bit-identically from the live
-    /// set — and the fingerprint is refolded from the tasks. The verdict
-    /// cache restarts empty at the same capacity: cache state never
-    /// changes a response byte, so this is a telemetry-only difference.
-    /// All subsequent verdicts are therefore identical to a
-    /// never-snapshotted twin (property-tested in `tests/session_equiv.rs`).
+    /// contract of [`LiveTaskSet`]), and the fingerprint is refolded from
+    /// the tasks. The verdict cache restarts empty at the same capacity:
+    /// cache state never changes a response byte, so this is a
+    /// telemetry-only difference. All subsequent verdicts are therefore
+    /// identical to a never-snapshotted twin (property-tested in
+    /// `tests/session_equiv.rs`).
     pub fn restore_state(
         &mut self,
         pairs: Vec<(TaskHandle, Task<f64>)>,
@@ -279,7 +272,6 @@ impl AdmissionController {
         }
         self.live = live;
         self.fp = fp;
-        self.dp = IncrementalState::default();
         self.stats = stats;
         if let Some(cache) = &self.cache {
             self.cache = Some(VerdictCache::new(cache.capacity()));
@@ -313,59 +305,40 @@ impl AdmissionController {
 
     fn commit(&mut self, task: Task<f64>) -> TaskHandle {
         let handle = self.live.admit(task);
-        self.dp.on_admitted(&self.live, &task, &self.device);
         self.fp.add(&task);
         handle
     }
 
-    /// Handle of the task at canonical snapshot position `index`. With
-    /// `rejected_candidate_pos = Some(p)` the snapshot was `Γ ∪ {candidate}`
-    /// for a *rejected* candidate sitting at position `p`: that row has no
-    /// handle, and rows past it shift down by one in the live set. Accepted
-    /// candidates are committed before row mapping, so every index resolves
-    /// directly.
-    fn resolve_handle(&self, index: usize, rejected_candidate_pos: Option<usize>) -> Option<u64> {
-        match rejected_candidate_pos {
+    /// The caller-facing decision for a verdict. Margin rows are kept only
+    /// when requested, and their handles are resolved against the current
+    /// live set. With `rejected_candidate_pos = Some(p)` the rows cover
+    /// `Γ ∪ {candidate}` for a *rejected* candidate at position `p`: that
+    /// row has no handle, and rows past it shift down by one in the live
+    /// set. Accepted candidates are committed before rows are resolved, so
+    /// every index maps directly.
+    fn decision(
+        &self,
+        verdict: CachedVerdict,
+        want_margins: bool,
+        rejected_candidate_pos: Option<usize>,
+    ) -> Decision {
+        let handle = |index: usize| match rejected_candidate_pos {
             Some(p) if index == p => None,
             Some(p) if index > p => self.live.handle_at(index - 1).map(|h| h.0),
             _ => self.live.handle_at(index).map(|h| h.0),
+        };
+        let per_task = verdict.rows.filter(|_| want_margins).map(|rows| {
+            rows.into_iter()
+                .map(|(index, margin)| PerTaskMargin { index, handle: handle(index), margin })
+                .collect()
+        });
+        Decision {
+            accepted: verdict.accepted,
+            tier: verdict.tier,
+            margin: verdict.margin,
+            reason: verdict.reason,
+            per_task,
         }
-    }
-
-    /// Per-task margin rows from a report over a canonical-order snapshot.
-    fn margin_rows(
-        &self,
-        report: &TestReport,
-        rejected_candidate_pos: Option<usize>,
-    ) -> Vec<PerTaskMargin> {
-        report
-            .checks
-            .iter()
-            .map(|c| {
-                let index = c.task.0;
-                PerTaskMargin {
-                    index,
-                    handle: self.resolve_handle(index, rejected_candidate_pos),
-                    margin: c.rhs - c.lhs,
-                }
-            })
-            .collect()
-    }
-
-    /// Rebuild margin rows from cached `(canonical index, margin)` pairs,
-    /// re-deriving handles from the current live set.
-    fn replay_rows(
-        &self,
-        rows: &[(usize, f64)],
-        rejected_candidate_pos: Option<usize>,
-    ) -> Vec<PerTaskMargin> {
-        rows.iter()
-            .map(|&(index, margin)| PerTaskMargin {
-                index,
-                handle: self.resolve_handle(index, rejected_candidate_pos),
-                margin,
-            })
-            .collect()
     }
 
     /// Replay the stage-span samples of a cached decision so
@@ -387,16 +360,6 @@ impl AdmissionController {
             if mask & bit != 0 {
                 self.obs.record_ns(stage, 0);
             }
-        }
-    }
-
-    /// Store a decision in the cache (no-op when caching is off), counting
-    /// capacity evictions.
-    fn memoize(&mut self, op: CacheOp, key: TasksetFingerprint, verdict: CachedVerdict) {
-        let Some(cache) = self.cache.as_mut() else { return };
-        let evicted = cache.insert(op, key, verdict);
-        if evicted {
-            self.obs.inc(counters::CACHE_EVICTIONS);
         }
     }
 
@@ -440,110 +403,79 @@ impl AdmissionController {
             return (self.precondition_reject(reason), None);
         }
 
-        // Verdict cache: the decision is a pure function of Γ ∪ {candidate}
-        // (canonical order), so a fingerprint hit replays it verbatim.
-        let key = self.fp.with(&task);
-        if let Some(v) =
-            self.cache.as_mut().and_then(|c| c.lookup(CacheOp::Admit, key, want_margins)).cloned()
-        {
-            self.obs.inc(counters::CACHE_HITS);
-            self.replay_stage_samples(v.stages);
-            self.record(v.tier, v.accepted, decision_span);
-            let rejected_pos = (!v.accepted).then(|| self.live.canonical_position(&task));
-            let handle = v.accepted.then(|| self.commit(task));
-            let per_task = want_margins.then(|| {
-                let rows = v.rows.as_deref().expect("lookup honors need_rows");
-                self.replay_rows(rows, rejected_pos)
-            });
-            let decision = Decision {
-                accepted: v.accepted,
-                tier: v.tier,
-                margin: v.margin,
-                reason: v.reason,
-                per_task,
-            };
-            return (decision, handle);
+        let verdict = self.decide(Some(&task), want_margins);
+        self.record(verdict.tier, verdict.accepted, decision_span);
+        let rejected_pos = (!verdict.accepted).then(|| self.live.canonical_position(&task));
+        let handle = verdict.accepted.then(|| self.commit(task));
+        (self.decision(verdict, want_margins, rejected_pos), handle)
+    }
+
+    fn precondition_reject(&self, reason: String) -> Decision {
+        Decision {
+            accepted: false,
+            tier: Tier::IncrementalDp,
+            margin: None,
+            reason: Some(reason),
+            per_task: None,
         }
-        if self.cache.is_some() {
+    }
+
+    /// Release a previously admitted task.
+    pub fn release(&mut self, handle: TaskHandle) -> Result<ReleaseOutcome, String> {
+        let removed = self.live.remove(handle).map_err(|e| e.to_string())?;
+        self.fp.remove(&removed);
+        Ok(ReleaseOutcome {
+            tasks: self.live.len(),
+            ut: self.live.time_utilization(),
+            us: self.live.system_utilization(),
+        })
+    }
+
+    /// Is the *current* live set schedulable, and by which tier? Does not
+    /// count into the admission statistics, cached or not.
+    pub fn query(&mut self, want_margins: bool) -> Decision {
+        let verdict = self.decide(None, want_margins);
+        self.decision(verdict, want_margins, None)
+    }
+
+    /// The one decision path of [`AdmissionController::admit`] (on
+    /// `Γ ∪ {candidate}`) and [`AdmissionController::query`] (on `Γ`, no
+    /// candidate): replay the cached verdict for the evaluated multiset, or
+    /// run the cascade and memoize its verdict. The live set is canonically
+    /// ordered, so the verdict is a pure function of the cache key and a
+    /// hit replays it verbatim.
+    fn decide(&mut self, candidate: Option<&Task<f64>>, want_margins: bool) -> CachedVerdict {
+        let (op, key) = match candidate {
+            Some(task) => (CacheOp::Admit, self.fp.with(task)),
+            None => (CacheOp::Query, self.fp),
+        };
+        if let Some(cache) = self.cache.as_mut() {
+            if let Some(hit) = cache.lookup(op, key, want_margins) {
+                let hit = hit.clone();
+                self.obs.inc(counters::CACHE_HITS);
+                self.replay_stage_samples(hit.stages);
+                return hit;
+            }
             self.obs.inc(counters::CACHE_MISSES);
         }
-
-        let dp_span = self.obs.span();
-        let dp_out = self.dp.evaluate_admit(&self.live, &task, &self.device);
-        self.obs.record_ns("admission/stage/dp_ns", dp_span.elapsed_ns());
-        // The knife-edge scale: evaluate_admit's canonical-order union fold,
-        // a pure function of Γ ∪ {candidate}.
-        let new_us = dp_out.us;
-
-        // Fast path: clear incremental-DP accept, no snapshot needed.
-        if dp_out.accepted && !self.knife_edge(dp_out.margin, new_us) {
-            self.record(Tier::IncrementalDp, true, decision_span);
-            let handle = self.commit(task);
-            let per_task = want_margins.then(|| {
-                let snap = self.live.snapshot().expect("non-empty after commit");
-                self.margin_rows(&DpTest::default().check(&snap, &self.device), None)
-            });
-            self.memoize(
-                CacheOp::Admit,
-                key,
-                CachedVerdict {
-                    accepted: true,
-                    tier: Tier::IncrementalDp,
-                    margin: finite(dp_out.margin),
-                    reason: None,
-                    stages: stages::DP,
-                    rows: per_task.as_deref().map(rows_of),
-                },
-            );
-            let decision = Decision {
-                accepted: true,
-                tier: Tier::IncrementalDp,
-                margin: finite(dp_out.margin),
-                reason: None,
-                per_task,
-            };
-            return (decision, Some(handle));
+        let verdict = self.cascade(candidate, want_margins);
+        if let Some(cache) = self.cache.as_mut() {
+            if cache.insert(op, key, verdict.clone()) {
+                self.obs.inc(counters::CACHE_EVICTIONS);
+            }
         }
-
-        // Slow path: evaluate Γ ∪ {candidate} on the batch kernel.
-        let outcome = self.cascade_decide(Some(&task), dp_out, new_us, want_margins);
-        self.record(outcome.tier, outcome.accepted, decision_span);
-        let rejected_pos = (!outcome.accepted).then(|| self.live.canonical_position(&task));
-        let handle = if outcome.accepted { Some(self.commit(task)) } else { None };
-        let per_task = match (&outcome.report, want_margins) {
-            (Some(report), true) => Some(self.margin_rows(report, rejected_pos)),
-            _ => None,
-        };
-        self.memoize(
-            CacheOp::Admit,
-            key,
-            CachedVerdict {
-                accepted: outcome.accepted,
-                tier: outcome.tier,
-                margin: outcome.margin,
-                reason: outcome.reason.clone(),
-                stages: outcome.stages,
-                rows: per_task.as_deref().map(rows_of),
-            },
-        );
-        let decision = Decision {
-            accepted: outcome.accepted,
-            tier: outcome.tier,
-            margin: outcome.margin,
-            reason: outcome.reason,
-            per_task,
-        };
-        (decision, handle)
+        verdict
     }
 
     /// The evaluated set in canonical order: `Γ ∪ {candidate}` with the
-    /// candidate at its canonical position, or `Γ` for a query.
-    fn snapshot(&self, candidate: Option<&Task<f64>>) -> TaskSet<f64> {
+    /// candidate at its canonical position, or `Γ` for a query. `None` for
+    /// the query of an empty set.
+    fn snapshot(&self, candidate: Option<&Task<f64>>) -> Option<TaskSet<f64>> {
         match candidate {
             Some(task) => self.live.snapshot_with(task),
             None => self.live.snapshot(),
         }
-        .expect("the evaluated set is non-empty")
+        .ok()
     }
 
     /// Pack the evaluated set into the scratch space, in the order of
@@ -560,39 +492,57 @@ impl AdmissionController {
         }
     }
 
-    /// The scalar report of the accepting GN tier on `snap`, for margin
-    /// rows.
-    fn gn_report(&self, tier: Tier, snap: &TaskSet<f64>) -> TestReport {
-        match tier {
-            Tier::Gn1 => Gn1Test::default().check(snap, &self.device),
-            _ => Gn2Test::default().check(snap, &self.device),
-        }
+    /// Margin rows of the accepting tier's scalar report over the evaluated
+    /// set. `None` for the empty set, which has no rows.
+    fn tier_rows(&self, tier: Tier, candidate: Option<&Task<f64>>) -> Option<Vec<(usize, f64)>> {
+        let snap = self.snapshot(candidate)?;
+        let report = match tier {
+            Tier::IncrementalDp => DpTest::default().check(&snap, &self.device),
+            Tier::Gn1 => Gn1Test::default().check(&snap, &self.device),
+            _ => Gn2Test::default().check(&snap, &self.device),
+        };
+        Some(report_rows(&report))
     }
 
-    /// Shared slow path of [`AdmissionController::admit`] and
-    /// [`AdmissionController::query`]: pack the evaluated set once, run
-    /// the batch kernel's GN1 and then (only if needed) GN2 on it, escalate
-    /// to the exact tier when any *computed* margin is knife-edge, and fall
-    /// back to the f64 verdict when exact arithmetic is unavailable for
-    /// this set.
+    /// DP → GN1 → GN2 → exact on the evaluated set.
     ///
-    /// `candidate` is the admission candidate (None for queries). The
-    /// kernel's verdicts and margins are bit-identical to the scalar tests
-    /// on [`AdmissionController::snapshot`]; that snapshot is built only
-    /// for the exact tier and, with `want_margins`, for the accepting
-    /// tier's scalar report.
-    fn cascade_decide(
-        &mut self,
-        candidate: Option<&Task<f64>>,
-        dp_out: fpga_rt_analysis::IncrementalOutcome<f64>,
-        us: f64,
-        want_margins: bool,
-    ) -> CascadeOutcome {
-        let mut knife = self.knife_edge(dp_out.margin, us);
-        let mut best_margin = dp_out.margin;
+    /// DP reads `Γ ∪ {candidate}` straight from the live set. When it does
+    /// not accept clearly, the set is packed once into the scratch space
+    /// and the batch kernel runs GN1 and then, only if GN1 rejects, GN2 on
+    /// that packing; its verdicts and margins are bit-identical to the
+    /// scalar tests on [`AdmissionController::snapshot`]. When any
+    /// *computed* margin is knife-edge, the exact tier settles the verdict,
+    /// and when exact arithmetic cannot represent the set, the `f64`
+    /// verdict stands with a note. The snapshot and the scalar reports are
+    /// built only for the exact tier and for the rows of a `margins`
+    /// request.
+    fn cascade(&mut self, candidate: Option<&Task<f64>>, want_margins: bool) -> CachedVerdict {
+        let dp_span = self.obs.span();
+        let dp = DpTest::default().live_slack(&self.live, candidate, &self.device);
+        self.obs.record_ns("admission/stage/dp_ns", dp_span.elapsed_ns());
+        // The knife-edge scale is DP's canonical-order `US` fold, a pure
+        // function of the evaluated multiset.
+        let us = dp.us;
+        // The empty set (a query before any admission) accepts outright,
+        // whatever the knife-edge threshold.
+        let empty = candidate.is_none() && self.live.is_empty();
+        if empty || (dp.accepted && !self.knife_edge(dp.margin, us)) {
+            return CachedVerdict {
+                accepted: true,
+                tier: Tier::IncrementalDp,
+                margin: finite(dp.margin),
+                reason: None,
+                stages: stages::DP,
+                rows: want_margins
+                    .then(|| self.tier_rows(Tier::IncrementalDp, candidate))
+                    .flatten(),
+            };
+        }
+
+        let mut knife = self.knife_edge(dp.margin, us);
+        let mut best_margin = dp.margin;
         let mut decided: Option<(Tier, f64)> = None;
         let mut mask = stages::DP;
-
         self.pack(candidate);
         // Lazy escalation: GN2 (O(N³)) only runs when GN1 did not accept.
         for (tier, series, stage, bit) in [
@@ -612,193 +562,57 @@ impl AdmissionController {
                 break;
             }
         }
+
+        let (accepted, tier, margin, reason) = match decided {
+            Some((tier, margin)) => (true, tier, margin, None),
+            // Reachable only on a knife edge: a clear DP accept returned above.
+            None if dp.accepted => (true, Tier::IncrementalDp, dp.margin, None),
+            None => {
+                (false, Tier::Gn2, best_margin, Some("rejected by DP, GN1 and GN2".to_string()))
+            }
+        };
+        let mut verdict = CachedVerdict {
+            accepted,
+            tier,
+            margin: finite(margin),
+            reason,
+            stages: mask,
+            rows: None,
+        };
         // Knife-edge anywhere: settle the verdict in exact arithmetic.
         if knife {
-            mask |= stages::EXACT;
-            let snap = self.snapshot(candidate);
+            verdict.stages |= stages::EXACT;
+            let snap = self.snapshot(candidate).expect("the evaluated set is non-empty");
             let exact_span = self.obs.span();
-            let exact_result = exact_cascade(&snap, &self.device, self.config.max_denominator);
+            let exact_result = exact_cascade(&snap, &self.device);
             self.obs.record_ns("admission/stage/exact_ns", exact_span.elapsed_ns());
             match exact_result {
                 Ok(exact) => {
-                    return CascadeOutcome {
+                    return CachedVerdict {
                         accepted: exact.accepted,
                         tier: Tier::Exact,
                         margin: finite(exact.margin),
                         reason: Some(exact.reason),
-                        report: Some(exact.report),
-                        stages: mask,
+                        stages: verdict.stages,
+                        rows: want_margins.then(|| report_rows(&exact.report)),
                     };
                 }
+                // Exact arithmetic cannot represent this set: the f64
+                // verdict stands, noting the degradation.
                 Err(overflow) => {
-                    // Exact arithmetic cannot represent this set: fall back
-                    // to the f64 verdict, noting the degradation.
                     let note = format!("exact re-check unavailable ({overflow}); f64 verdict");
-                    return match decided {
-                        Some((tier, margin)) => CascadeOutcome {
-                            accepted: true,
-                            tier,
-                            margin: finite(margin),
-                            reason: Some(note),
-                            report: want_margins.then(|| self.gn_report(tier, &snap)),
-                            stages: mask,
-                        },
-                        None if dp_out.accepted => CascadeOutcome {
-                            accepted: true,
-                            tier: Tier::IncrementalDp,
-                            margin: finite(dp_out.margin),
-                            reason: Some(note),
-                            report: None,
-                            stages: mask,
-                        },
-                        None => CascadeOutcome {
-                            accepted: false,
-                            tier: Tier::Gn2,
-                            margin: finite(best_margin),
-                            reason: Some(format!("rejected by DP, GN1 and GN2; {note}")),
-                            report: None,
-                            stages: mask,
-                        },
-                    };
+                    verdict.reason = Some(match verdict.reason {
+                        Some(reason) => format!("{reason}; {note}"),
+                        None => note,
+                    });
                 }
             }
         }
-
-        match decided {
-            Some((tier, margin)) => CascadeOutcome {
-                accepted: true,
-                tier,
-                margin: finite(margin),
-                reason: None,
-                report: want_margins.then(|| self.gn_report(tier, &self.snapshot(candidate))),
-                stages: mask,
-            },
-            None => CascadeOutcome {
-                accepted: false,
-                tier: Tier::Gn2,
-                margin: finite(best_margin),
-                reason: Some("rejected by DP, GN1 and GN2".to_string()),
-                report: None,
-                stages: mask,
-            },
+        if let Some((tier, _)) = decided.filter(|_| want_margins) {
+            verdict.rows = self.tier_rows(tier, candidate);
         }
+        verdict
     }
-
-    fn precondition_reject(&self, reason: String) -> Decision {
-        Decision {
-            accepted: false,
-            tier: Tier::IncrementalDp,
-            margin: None,
-            reason: Some(reason),
-            per_task: None,
-        }
-    }
-
-    /// Release a previously admitted task.
-    pub fn release(&mut self, handle: TaskHandle) -> Result<ReleaseOutcome, String> {
-        let removed = self.live.remove(handle).map_err(|e| e.to_string())?;
-        self.dp.on_removed(&self.live, &removed, &self.device);
-        self.fp.remove(&removed);
-        Ok(ReleaseOutcome {
-            tasks: self.live.len(),
-            ut: self.live.time_utilization(),
-            us: self.live.system_utilization(),
-        })
-    }
-
-    /// Is the *current* live set schedulable, and by which tier? Does not
-    /// count into the admission statistics.
-    pub fn query(&mut self, want_margins: bool) -> Decision {
-        // Queries key on the live fingerprint itself. They never record
-        // into the admission statistics, cached or not.
-        let key = self.fp;
-        if let Some(v) =
-            self.cache.as_mut().and_then(|c| c.lookup(CacheOp::Query, key, want_margins)).cloned()
-        {
-            self.obs.inc(counters::CACHE_HITS);
-            self.replay_stage_samples(v.stages);
-            let per_task = want_margins.then(|| {
-                let rows = v.rows.as_deref().expect("lookup honors need_rows");
-                self.replay_rows(rows, None)
-            });
-            return Decision {
-                accepted: v.accepted,
-                tier: v.tier,
-                margin: v.margin,
-                reason: v.reason,
-                per_task,
-            };
-        }
-        if self.cache.is_some() {
-            self.obs.inc(counters::CACHE_MISSES);
-        }
-
-        let dp_span = self.obs.span();
-        let dp_out = self.dp.evaluate_current(&self.live, &self.device);
-        self.obs.record_ns("admission/stage/dp_ns", dp_span.elapsed_ns());
-        let us = self.live.system_utilization();
-        if self.live.is_empty() || (dp_out.accepted && !self.knife_edge(dp_out.margin, us)) {
-            let per_task = (want_margins && !self.live.is_empty()).then(|| {
-                let snap = self.live.snapshot().expect("checked non-empty");
-                self.margin_rows(&DpTest::default().check(&snap, &self.device), None)
-            });
-            self.memoize(
-                CacheOp::Query,
-                key,
-                CachedVerdict {
-                    accepted: true,
-                    tier: Tier::IncrementalDp,
-                    margin: finite(dp_out.margin),
-                    reason: None,
-                    stages: stages::DP,
-                    rows: per_task.as_deref().map(rows_of),
-                },
-            );
-            return Decision {
-                accepted: true,
-                tier: Tier::IncrementalDp,
-                margin: finite(dp_out.margin),
-                reason: None,
-                per_task,
-            };
-        }
-        let outcome = self.cascade_decide(None, dp_out, us, want_margins);
-        let per_task = match (&outcome.report, want_margins) {
-            (Some(report), true) => Some(self.margin_rows(report, None)),
-            _ => None,
-        };
-        self.memoize(
-            CacheOp::Query,
-            key,
-            CachedVerdict {
-                accepted: outcome.accepted,
-                tier: outcome.tier,
-                margin: outcome.margin,
-                reason: outcome.reason.clone(),
-                stages: outcome.stages,
-                rows: per_task.as_deref().map(rows_of),
-            },
-        );
-        Decision {
-            accepted: outcome.accepted,
-            tier: outcome.tier,
-            margin: outcome.margin,
-            reason: outcome.reason,
-            per_task,
-        }
-    }
-}
-
-/// Verdict of the shared GN1 → GN2 → exact slow path.
-struct CascadeOutcome {
-    accepted: bool,
-    tier: Tier,
-    margin: Option<f64>,
-    reason: Option<String>,
-    /// The deciding test's report, when one exists (for margin rows).
-    report: Option<TestReport>,
-    /// [`stages`] bitmask of the analysis stages that ran (for the cache).
-    stages: u8,
 }
 
 /// `Some(m)` for finite margins, `None` otherwise (never serialize NaN/∞).
@@ -806,9 +620,9 @@ fn finite(m: f64) -> Option<f64> {
     m.is_finite().then_some(m)
 }
 
-/// Cacheable `(canonical index, margin)` pairs of computed margin rows.
-fn rows_of(rows: &[PerTaskMargin]) -> Vec<(usize, f64)> {
-    rows.iter().map(|r| (r.index, r.margin)).collect()
+/// Cacheable `(canonical index, rhs − lhs)` rows of a report.
+fn report_rows(report: &TestReport) -> Vec<(usize, f64)> {
+    report.checks.iter().map(|c| (c.task.0, c.rhs - c.lhs)).collect()
 }
 
 /// Result of the exact-arithmetic re-check.
@@ -823,21 +637,12 @@ struct ExactOutcome {
 /// Convert an `f64` snapshot to exact rationals, propagating conversion
 /// failure (values whose integer part exceeds `i64` range) as a clean error
 /// instead of panicking.
-fn to_exact(
-    snapshot: &TaskSet<f64>,
-    max_denominator: u32,
-) -> Result<TaskSet<Rat64>, fpga_rt_model::ModelError> {
+fn to_exact(snapshot: &TaskSet<f64>) -> Result<TaskSet<Rat64>, fpga_rt_model::ModelError> {
+    let exact = |v| Rat64::approx_f64(v, Rat64::TASK_MAX_DENOMINATOR);
     let tasks = snapshot
         .tasks()
         .iter()
-        .map(|t| {
-            Task::new(
-                Rat64::approx_f64(t.exec(), max_denominator)?,
-                Rat64::approx_f64(t.deadline(), max_denominator)?,
-                Rat64::approx_f64(t.period(), max_denominator)?,
-                t.area(),
-            )
-        })
+        .map(|t| Task::new(exact(t.exec())?, exact(t.deadline())?, exact(t.period())?, t.area()))
         .collect::<Result<Vec<_>, _>>()?;
     TaskSet::new(tasks)
 }
@@ -848,13 +653,8 @@ fn to_exact(
 /// this taskset — either the `f64 → Rat64` conversion fails outright or an
 /// operator overflows the normalized i64/i64 representation (the same
 /// failure mode the CLI's `--exact` flag maps to exit code 2).
-fn exact_cascade(
-    snapshot: &TaskSet<f64>,
-    device: &Fpga,
-    max_denominator: u32,
-) -> Result<ExactOutcome, String> {
-    let exact =
-        to_exact(snapshot, max_denominator).map_err(|e| format!("exact conversion failed: {e}"))?;
+fn exact_cascade(snapshot: &TaskSet<f64>, device: &Fpga) -> Result<ExactOutcome, String> {
+    let exact = to_exact(snapshot).map_err(|e| format!("exact conversion failed: {e}"))?;
     let caught = catch_unwind(AssertUnwindSafe(|| {
         let dp = DpTest::default().check(&exact, device);
         if dp.accepted() {
@@ -991,7 +791,7 @@ mod tests {
     #[test]
     fn exact_cascade_conversion_failure_is_an_error() {
         let snap: TaskSet<f64> = TaskSet::try_from_tuples(&[(1e19, 2e19, 2e19, 1)]).unwrap();
-        let err = exact_cascade(&snap, &Fpga::new(10).unwrap(), 1_000_000).unwrap_err();
+        let err = exact_cascade(&snap, &Fpga::new(10).unwrap()).unwrap_err();
         assert!(err.contains("conversion failed"), "{err}");
     }
 
@@ -1008,8 +808,21 @@ mod tests {
     #[test]
     fn query_reports_current_verdict_and_stats() {
         let mut ctl = controller();
-        let dec = ctl.query(false);
-        assert!(dec.accepted, "empty set is schedulable");
+        // The empty set is schedulable with DP's whole busy-area bound,
+        // A(H) + 1, as its margin, and it has no rows even on request.
+        // No knife-edge threshold escalates it.
+        let mut wide = AdmissionController::new(
+            Fpga::new(10).unwrap(),
+            ControllerConfig { exact_margin: 1e12 },
+        );
+        for want_margins in [false, true] {
+            let dec = ctl.query(want_margins);
+            assert!(dec.accepted, "empty set is schedulable");
+            assert_eq!(dec.tier, Tier::IncrementalDp);
+            assert_eq!(dec.margin, Some(11.0));
+            assert_eq!(dec.per_task, None);
+            assert_eq!(wide.query(want_margins), dec);
+        }
         ctl.admit(t(1.0, 10.0, 10.0, 3), false);
         let dec = ctl.query(true);
         assert!(dec.accepted);

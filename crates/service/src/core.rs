@@ -119,8 +119,8 @@ enum ServeReq {
 enum ServeResp {
     /// The served protocol response.
     Line(Box<Response>),
-    /// One shard's accumulated statistics.
-    Drain(QueryStats),
+    /// The accumulated statistics of each of one shard's sessions.
+    Drain(Vec<QueryStats>),
 }
 
 /// Per-shard worker state: the sessions the shard owns, plus everything
@@ -149,23 +149,6 @@ impl ShardState {
             self.sessions.insert(name.to_string(), controller);
         }
         self.sessions.get_mut(name).expect("just inserted")
-    }
-
-    /// Sum of every live session's statistics (commutative, so map
-    /// iteration order cannot leak into the totals).
-    fn stats(&self) -> QueryStats {
-        let mut total = QueryStats::default();
-        for controller in self.sessions.values() {
-            let s = controller.stats();
-            total.decisions += s.decisions;
-            total.accepted += s.accepted;
-            total.rejected += s.rejected;
-            total.tiers.dp_inc += s.tiers.dp_inc;
-            total.tiers.gn1 += s.tiers.gn1;
-            total.tiers.gn2 += s.tiers.gn2;
-            total.tiers.exact += s.tiers.exact;
-        }
-        total
     }
 }
 
@@ -242,7 +225,9 @@ impl ServiceCore {
                 sessions: HashMap::new(),
             },
             move |state, shard, req| match req {
-                ServeReq::Drain => ServeResp::Drain(state.stats()),
+                ServeReq::Drain => ServeResp::Drain(
+                    state.sessions.values().map(AdmissionController::stats).collect(),
+                ),
                 ServeReq::Line { seq, id, snapshot_state, request } => {
                     let start = Instant::now();
                     let mut response =
@@ -603,14 +588,14 @@ impl ServiceCore {
     }
 }
 
-/// Broadcast a drain marker and gather every shard's statistics (index `i`
-/// holds shard `i`'s).
+/// Broadcast a drain marker and gather the statistics of every session,
+/// shard by shard.
 fn drain(pool: &mut ShardedPool<ServeReq, ServeResp>) -> Result<Vec<QueryStats>, String> {
     let results = pool.broadcast(|_| ServeReq::Drain).map_err(|e| e.to_string())?;
     let mut drained = Vec::with_capacity(results.len());
     for result in results {
         match result.map_err(|e| e.to_string())? {
-            ServeResp::Drain(stats) => drained.push(stats),
+            ServeResp::Drain(stats) => drained.extend(stats),
             ServeResp::Line(_) => return Err("pool answered a drain with a line".to_string()),
         }
     }
@@ -618,7 +603,7 @@ fn drain(pool: &mut ShardedPool<ServeReq, ServeResp>) -> Result<Vec<QueryStats>,
 }
 
 /// Build the service-wide snapshot: a **clone** of the live registry (so
-/// repeated `stats` ops never double-count the fold) with every shard's
+/// repeated `stats` ops never double-count the fold) with every session's
 /// statistics folded onto the admission counters, the session gauges set
 /// from the lifecycle mirror, and the session configuration recorded as
 /// metadata. The worker count is deliberately not part of the metadata —
@@ -639,7 +624,9 @@ fn service_snapshot(
     registry.set_meta("shards", &config.shards.max(1).to_string());
     registry.set_meta("batch", &config.batch.max(1).to_string());
     registry.set_meta("deterministic", if config.deterministic { "true" } else { "false" });
-    for stats in drained {
+    // The zero fold keeps every admission counter present before the
+    // first session exists.
+    for stats in std::iter::once(&QueryStats::default()).chain(drained) {
         stats.fold_into(&registry);
     }
     // Session gauges only when telemetry is enabled: with Obs::off the

@@ -10,10 +10,11 @@
 //!
 //! * [`AdmissionController`] — one device, one live
 //!   [`fpga_rt_model::LiveTaskSet`], answering `admit` / `release` /
-//!   `query`. Each admission runs a **fast→slow cascade**: the incremental
-//!   DP bound ([`fpga_rt_analysis::IncrementalState`], O(1) against cached
-//!   aggregates) → GN1 → GN2 → an **exact** [`fpga_rt_model::Rat64`]
-//!   re-check when the deciding margin is knife-edge. Every
+//!   `query`. Each admission runs a **fast→slow cascade**: the DP bound
+//!   folded over the live set ([`fpga_rt_analysis::DpTest::live_slack`],
+//!   O(N), no cached state) → GN1 → GN2 → an **exact**
+//!   [`fpga_rt_model::Rat64`] re-check when the deciding margin is
+//!   knife-edge. Every
 //!   [`Decision`] records which [`Tier`] settled it. An optional bounded
 //!   [`VerdictCache`] (see [`cache`]) memoizes decisions keyed by an
 //!   order-independent taskset fingerprint — byte-identical output with the

@@ -85,7 +85,7 @@ pub mod counters {
     pub const ACCEPTED: &str = "admission/accepted";
     /// Admissions rejected.
     pub const REJECTED: &str = "admission/rejected";
-    /// Decisions settled by the incremental DP tier.
+    /// Decisions settled by the DP tier (`dp-inc`).
     pub const TIER_DP_INC: &str = "admission/tier/dp-inc";
     /// Decisions settled by GN1.
     pub const TIER_GN1: &str = "admission/tier/gn1";
@@ -374,7 +374,7 @@ pub struct SnapshotTask {
 /// The serde-backed durable state of one session, as produced by the
 /// `snapshot` op and consumed by `restore`. Contains the canonical-order
 /// live task vector, the handle counter and the accumulated decision
-/// statistics; every incremental aggregate (utilization sums, DP state,
+/// statistics; everything derived from the tasks (utilization sums,
 /// fingerprint) is rebuilt on restore and is bit-identical to the
 /// never-snapshotted twin by the live set's purity contract.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -408,7 +408,8 @@ pub struct PerTaskMargin {
 /// How many admit decisions each cascade tier has settled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TierCounts {
-    /// Decided by the incremental DP bound (O(1) fast path included).
+    /// Decided by the DP bound (tier `dp-inc`), precondition rejections
+    /// included.
     pub dp_inc: u64,
     /// Decided by GN1 (Theorem 2).
     pub gn1: u64,

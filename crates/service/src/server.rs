@@ -33,8 +33,6 @@ pub struct ServeConfig {
     pub batch: usize,
     /// Knife-edge threshold forwarded to every controller.
     pub exact_margin: f64,
-    /// `f64 → Rat64` denominator cap for the exact tier.
-    pub max_denominator: u32,
     /// Report `latency_us` as 0 and zero every time-valued telemetry
     /// sample, so transcripts *and* metrics artifacts are byte-for-byte
     /// reproducible (used by the golden-file and obs-smoke CI gates).
@@ -58,7 +56,6 @@ impl ServeConfig {
             workers: 0,
             batch: 64,
             exact_margin: 1e-9,
-            max_denominator: 1_000_000,
             deterministic: false,
             cache: Some(1024),
             sessions: None,
@@ -66,7 +63,7 @@ impl ServeConfig {
     }
 
     pub(crate) fn controller_config(&self) -> ControllerConfig {
-        ControllerConfig { exact_margin: self.exact_margin, max_denominator: self.max_denominator }
+        ControllerConfig { exact_margin: self.exact_margin }
     }
 }
 

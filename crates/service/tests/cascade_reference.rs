@@ -7,9 +7,9 @@
 //! query), runs the scalar `DpTest`, `Gn1Test` and `Gn2Test::check` on it
 //! from scratch, and applies the controller's tier order, knife-edge rule
 //! and margin fold. The controller evaluates GN1/GN2 on the batch kernel
-//! and DP incrementally, so this pins both to the scalar tests decision by
-//! decision: tier, verdict and margin bits, and the per-task rows of every
-//! `margins` request. A decision the reference finds knife-edge must come
+//! and DP from the live set, so this pins both to the scalar tests decision
+//! by decision: tier, verdict and margin bits, and the per-task rows of
+//! every `margins` request. A decision the reference finds knife-edge must come
 //! back `tier: exact`, unless exact arithmetic overflows on the set; then
 //! the controller's documented fallback — the `f64` verdict, noted in the
 //! reason — must match the reference's. The exact tier itself is not
@@ -192,7 +192,14 @@ fn lockstep(device: Fpga, ops: impl IntoIterator<Item = Op>) -> usize {
                         let handle_at = |i| ctl.live().handle_at(i).map(|h| h.0);
                         check_decision(&got, &want, handle_at, &format!("step {step}: query"));
                     }
-                    Err(_) => assert!(got.accepted && got.tier == Tier::IncrementalDp),
+                    // The empty set: DP's busy-area bound A(H) + 1 as the
+                    // margin, and no rows even when margins were requested.
+                    Err(_) => {
+                        assert!(got.accepted && got.tier == Tier::IncrementalDp);
+                        let bound = f64::from(device.columns() + 1);
+                        assert_eq!(got.margin, Some(bound), "step {step}: empty-set margin");
+                        assert_eq!(got.per_task, None, "step {step}: empty-set rows");
+                    }
                 }
             }
         }

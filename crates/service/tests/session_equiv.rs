@@ -6,9 +6,9 @@
 //! statistics at the end.
 //!
 //! This is the contract that makes the server's `snapshot`/`restore`
-//! lifecycle ops safe: everything not exported (incremental DP state, the
-//! batch kernel's scratch space, taskset fingerprint, verdict cache) must
-//! be derivable from the live multiset or provably response-invisible.
+//! lifecycle ops safe: everything not exported (the batch kernel's scratch
+//! space, taskset fingerprint, verdict cache) must be derivable from the
+//! live multiset or provably response-invisible.
 
 use fpga_rt_gen::FigureWorkload;
 use fpga_rt_model::{Fpga, Task, TaskHandle};
@@ -133,7 +133,7 @@ proptest! {
 }
 
 /// Fixed-seed witness: restoring into an *already warm* stream (snapshot
-/// late, after the DP state and cache have state) still converges — kept
+/// late, after the verdict cache has state) still converges — kept
 /// deterministic so it cannot flake.
 #[test]
 fn late_snapshot_of_a_warm_controller_is_invisible() {

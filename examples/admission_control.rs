@@ -9,8 +9,8 @@
 //!
 //! Strategy: use the workspace's online [`AdmissionController`] — the
 //! paper's Section-6 advice ("determine that a taskset is unschedulable
-//! only if all tests fail") as a fast→slow cascade: incremental DP, then
-//! GN1, then GN2, then an exact rational re-check on knife-edge margins.
+//! only if all tests fail") as a fast→slow cascade: DP, then GN1, then
+//! GN2, then an exact rational re-check on knife-edge margins.
 //! Each decision reports the tier that settled it. The final admitted set
 //! is then cross-checked by simulation.
 //!

@@ -26,8 +26,8 @@
 //! * [`pool`] — the deterministic sharded worker pool (ordered results,
 //!   panic containment, output invariant in worker count and batch size)
 //!   shared by the service session loop and the parallel sweep engine;
-//! * [`service`] — the online admission-control runtime: incremental
-//!   fast→slow decision cascade (incremental DP → GN1 → GN2 → exact) behind
+//! * [`service`] — the online admission-control runtime: a fast→slow
+//!   decision cascade (DP → GN1 → GN2 → exact) behind
 //!   a batched, sharded JSONL protocol, served over stdio or a
 //!   hand-rolled non-blocking TCP / Unix-socket event loop
 //!   ([`service::SocketServer`]) through one transport-agnostic engine
@@ -86,8 +86,8 @@ pub use fpga_rt_sim as sim;
 /// Commonly used items in one import.
 pub mod prelude {
     pub use fpga_rt_analysis::{
-        AnalysisSeries, AnyOfTest, BatchAnalyzer, DpTest, Gn1Test, Gn2Test, IncrementalState,
-        SchedTest, ScratchSpace, TaskSetBatch, TestReport, Verdict,
+        AnalysisSeries, AnyOfTest, BatchAnalyzer, DpTest, Gn1Test, Gn2Test, SchedTest,
+        ScratchSpace, TaskSetBatch, TestReport, Verdict,
     };
     pub use fpga_rt_loadgen::{ArrivalProfile, LatencyHistogram, LoadConfig, LoadReport};
     pub use fpga_rt_model::{

@@ -77,11 +77,10 @@ fn admission_controller_reachable_through_prelude() {
     controller.release(handle.unwrap()).unwrap();
     assert!(controller.is_empty());
 
-    // The live set + incremental DP state are usable directly too.
+    // The live set and its DP bound are usable directly too.
     let mut live: LiveTaskSet<f64> = LiveTaskSet::new();
     let h: TaskHandle = live.admit(Task::implicit(1.0, 10.0, 3).unwrap());
-    let mut state: IncrementalState<f64> = IncrementalState::default();
-    assert!(state.evaluate_current(&live, &Fpga::new(10).unwrap()).accepted);
+    assert!(DpTest::default().live_slack(&live, None, &Fpga::new(10).unwrap()).accepted);
     live.remove(h).unwrap();
 
     // And the serve session config type is exported for embedding.
