@@ -7,6 +7,7 @@
 //! the intersection of acceptance regions, e.g. when calibrating
 //! discriminating examples like Tables 1–3).
 
+use crate::batch::ArithmeticOverflow;
 use crate::dp::DpTest;
 use crate::gn1::Gn1Test;
 use crate::gn2::Gn2Test;
@@ -55,21 +56,29 @@ impl<T: Time> SchedTest<T> for AnyOfTest<T> {
         &self.name
     }
 
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
+    fn try_check(
+        &self,
+        taskset: &TaskSet<T>,
+        device: &Fpga,
+    ) -> Result<TestReport, ArithmeticOverflow> {
         let mut checks = Vec::new();
         for test in &self.tests {
-            let rep = test.check(taskset, device);
+            let rep = test.try_check(taskset, device)?;
             let accepted = rep.accepted();
             checks.extend(rep.checks);
             if accepted {
-                return TestReport { test: self.name.clone(), verdict: Verdict::Accepted, checks };
+                return Ok(TestReport {
+                    test: self.name.clone(),
+                    verdict: Verdict::Accepted,
+                    checks,
+                });
             }
         }
-        TestReport {
+        Ok(TestReport {
             test: self.name.clone(),
             verdict: Verdict::rejected(None, "all component tests rejected"),
             checks,
-        }
+        })
     }
 }
 
@@ -92,23 +101,27 @@ impl<T: Time> SchedTest<T> for AllOfTest<T> {
         &self.name
     }
 
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
+    fn try_check(
+        &self,
+        taskset: &TaskSet<T>,
+        device: &Fpga,
+    ) -> Result<TestReport, ArithmeticOverflow> {
         let mut checks = Vec::new();
         for test in &self.tests {
-            let rep = test.check(taskset, device);
+            let rep = test.try_check(taskset, device)?;
             if !rep.accepted() {
                 let failing = rep.failing_task();
                 let inner = rep.test.clone();
                 checks.extend(rep.checks);
-                return TestReport {
+                return Ok(TestReport {
                     test: self.name.clone(),
                     verdict: Verdict::rejected(failing, format!("component {inner} rejected")),
                     checks,
-                };
+                });
             }
             checks.extend(rep.checks);
         }
-        TestReport { test: self.name.clone(), verdict: Verdict::Accepted, checks }
+        Ok(TestReport { test: self.name.clone(), verdict: Verdict::Accepted, checks })
     }
 }
 

@@ -13,20 +13,21 @@
 //! waiting job, so in overload at least `A(H) − Amax + 1` columns are busy.
 //! Danne & Platzner's original real-valued formulation uses
 //! `A(H) − Amax`; it is available as [`DpAreaBound::RealValued`] for the
-//! ablation study (experiment X3 in DESIGN.md).
+//! ablation study (experiment X3, `docs/THEORY.md` "Theorem 1 — DP").
 //!
 //! With unit areas and `A(H) = m` the corrected bound collapses exactly to
 //! the Goossens–Funk–Baruah (GFB) multiprocessor bound
 //! `UT(Γ) ≤ m(1 − umax) + umax` — see [`crate::mp::GfbTest`] and the
 //! `mp_reduction` integration tests.
 //!
+//! [`DpTest`]'s reports come from the analysis kernel ([`crate::batch`]).
 //! An online admission controller asks the same question of a mutating
-//! [`LiveTaskSet`]: [`DpTest::live_slack`] evaluates the bound on
-//! `Γ ∪ {candidate}` (or on `Γ` itself) straight from the live set, in its
-//! canonical order, without building a snapshot.
+//! [`LiveTaskSet`]: [`DpTest::live_slack`] folds the bound's capacities over
+//! `Γ ∪ {candidate}` (or `Γ`) straight from the live set, in canonical order.
 
-use crate::report::{TaskCheck, TestReport, Verdict};
-use crate::traits::{precondition_reject, SchedTest};
+use crate::batch::{self, exact, ArithmeticOverflow, Theorem};
+use crate::report::TestReport;
+use crate::traits::SchedTest;
 use fpga_rt_model::{Fpga, LiveTaskSet, Task, TaskSet, Time};
 use serde::{Deserialize, Serialize};
 
@@ -70,9 +71,19 @@ pub struct DpSlack<T> {
 }
 
 /// Per-task capacity `g_k = Abnd·(1 − UT(τk)) + US(τk)`, the right-hand
-/// side of task k's inequality.
-fn capacity<T: Time>(abnd: T, task: &Task<T>) -> T {
-    abnd * (T::ONE - task.time_utilization()) + task.system_utilization()
+/// side of task k's inequality, from `UT(τk)` and `US(τk)`; shared by the
+/// kernel and [`DpTest::live_slack`].
+pub(crate) fn capacity<T: Time>(abnd: T, ut: T, us: T) -> Option<T> {
+    abnd.checked_mul(T::ONE.checked_sub(ut)?)?.checked_add(us)
+}
+
+/// The busy-area bound `A(H) − Amax (+ 1)` as a [`Time`] value.
+pub(crate) fn area_bound<T: Time>(config: DpConfig, amax: u32, columns: u32) -> T {
+    let base = i64::from(columns) - i64::from(amax);
+    match config.area_bound {
+        DpAreaBound::IntegerColumns => T::from_i64(base + 1),
+        DpAreaBound::RealValued => T::from_i64(base),
+    }
 }
 
 impl DpTest {
@@ -91,15 +102,6 @@ impl DpTest {
         self.config
     }
 
-    /// The busy-area bound `A(H) − Amax (+ 1)` as a [`Time`] value.
-    fn area_bound<T: Time>(&self, amax: u32, device: &Fpga) -> T {
-        let base = i64::from(device.columns()) - i64::from(amax);
-        match self.config.area_bound {
-            DpAreaBound::IntegerColumns => T::from_i64(base + 1),
-            DpAreaBound::RealValued => T::from_i64(base),
-        }
-    }
-
     /// The bound on `Γ ∪ {candidate}`, or on `Γ` when `candidate` is
     /// `None`, evaluated from a live set without a snapshot: O(N) per call.
     ///
@@ -111,7 +113,8 @@ impl DpTest {
     ///
     /// Like [`SchedTest::check`] after its guard, this assumes every task
     /// fits the device and has `C ≤ D`; an admission controller checks both
-    /// before consulting the bound.
+    /// before consulting the bound. Exact arithmetic that overflows panics,
+    /// as [`SchedTest::check`] does.
     pub fn live_slack<T: Time>(
         &self,
         live: &LiveTaskSet<T>,
@@ -119,7 +122,7 @@ impl DpTest {
         device: &Fpga,
     ) -> DpSlack<T> {
         let amax = live.amax().max(candidate.map_or(0, Task::area));
-        let abnd: T = self.area_bound(amax, device);
+        let abnd: T = area_bound(self.config, amax, device.columns());
         let us = match candidate {
             Some(task) => live.system_utilization_with(task),
             None => live.system_utilization(),
@@ -128,7 +131,7 @@ impl DpTest {
             .iter()
             .map(|(_, t)| t)
             .chain(candidate)
-            .map(|t| capacity(abnd, t))
+            .map(|t| exact(capacity(abnd, t.time_utilization(), t.system_utilization())))
             .reduce(T::min_t);
         match min_g {
             Some(min_g) => DpSlack { accepted: us <= min_g, margin: min_g - us, us },
@@ -145,42 +148,12 @@ impl<T: Time> SchedTest<T> for DpTest {
         }
     }
 
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
-        let name = SchedTest::<T>::name(self).to_string();
-        if let Some(rep) = precondition_reject(&name, taskset, device) {
-            return rep;
-        }
-
-        let abnd: T = self.area_bound(taskset.amax(), device);
-        let us_total = taskset.system_utilization();
-        let mut checks = Vec::with_capacity(taskset.len());
-
-        for (id, t) in taskset.iter() {
-            let rhs = capacity(abnd, t);
-            let passed = us_total <= rhs;
-            checks.push(TaskCheck {
-                task: id,
-                passed,
-                lhs: us_total.to_f64(),
-                rhs: rhs.to_f64(),
-                note: format!("US(Γ) ≤ Abnd·(1−UT({id})) + US({id}), Abnd={}", abnd.to_f64()),
-            });
-            if !passed {
-                return TestReport {
-                    test: name,
-                    verdict: Verdict::rejected(
-                        Some(id),
-                        format!(
-                            "US(Γ)={:.6} exceeds bound {:.6} at {id}",
-                            us_total.to_f64(),
-                            rhs.to_f64()
-                        ),
-                    ),
-                    checks,
-                };
-            }
-        }
-        TestReport { test: name, verdict: Verdict::Accepted, checks }
+    fn try_check(
+        &self,
+        taskset: &TaskSet<T>,
+        device: &Fpga,
+    ) -> Result<TestReport, ArithmeticOverflow> {
+        batch::report(Theorem::Dp(self.config), SchedTest::<T>::name(self), taskset, device)
     }
 }
 

@@ -14,7 +14,7 @@
 //! of τk waits, EDF-NF skips it and packs later-deadline jobs, so at least
 //! `A(H) − Ak + 1` columns stay busy.
 //!
-//! ## Faithfulness notes (see DESIGN.md §3)
+//! ## Faithfulness notes (see `docs/THEORY.md`, "Theorem 2 — GN1")
 //!
 //! * The theorem as printed in the paper shows `(A(H) − Ak)` on the
 //!   right-hand side, but Lemma 3 and the Section-6 worked example
@@ -26,18 +26,16 @@
 //!   divides by `Dk`. The BCL-faithful denominator is available via
 //!   [`Gn1BetaDenominator::WindowDk`] for the ablation study (X1).
 //!
-//! ## Scalar test and batch kernel
+//! ## Evaluation
 //!
-//! At the paper configuration the sweeps, `conform` and the online
-//! admission controller decide GN1 on the batch kernel
-//! ([`crate::batch`]), which repeats this test's arithmetic in the same
-//! order and is property-tested bit-identical to it. [`Gn1Test`] stays the
-//! reference, the report builder (per-task rows for `margins` requests),
-//! the ablation variants and the exact `Rat64` evaluation.
+//! [`Gn1Test`] holds the configuration; the inequality — Lemma 4's `Wi`
+//! included — is evaluated by the analysis kernel ([`crate::batch`]), in
+//! `f64` or exactly, which also writes the report's per-task rows.
 
-use crate::report::{TaskCheck, TestReport, Verdict};
-use crate::traits::{precondition_reject, SchedTest};
-use fpga_rt_model::{Fpga, Task, TaskSet, Time};
+use crate::batch::{self, ArithmeticOverflow, Theorem};
+use crate::report::TestReport;
+use crate::traits::SchedTest;
+use fpga_rt_model::{Fpga, TaskSet, Time};
 use serde::{Deserialize, Serialize};
 
 /// Denominator used when converting the interference workload `Wi` into the
@@ -95,22 +93,6 @@ impl Gn1Test {
     }
 }
 
-/// The maximum number of jobs of `τi` completely contained in a window of
-/// length `Dk` when deadlines are aligned (BCL worst case):
-/// `Ni = ⌊(Dk − Di)/Ti⌋ + 1`, clamped at zero.
-pub fn job_count_ni<T: Time>(interfering: &Task<T>, dk: T) -> i64 {
-    let ni = ((dk - interfering.deadline()) / interfering.period()).floor_i64() + 1;
-    ni.max(0)
-}
-
-/// Upper bound on the *time work* of `τi` in a deadline-aligned window of
-/// length `Dk` (Lemma 4): `Wi = Ni·Ci + min(Ci, max(Dk − Ni·Ti, 0))`.
-pub fn time_work_bound<T: Time>(interfering: &Task<T>, dk: T) -> T {
-    let ni = T::from_i64(job_count_ni(interfering, dk));
-    let carry_in = interfering.exec().min_t((dk - ni * interfering.period()).max_zero());
-    ni * interfering.exec() + carry_in
-}
-
 impl<T: Time> SchedTest<T> for Gn1Test {
     fn name(&self) -> &str {
         match self.config.beta_denominator {
@@ -119,57 +101,12 @@ impl<T: Time> SchedTest<T> for Gn1Test {
         }
     }
 
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
-        let name = SchedTest::<T>::name(self).to_string();
-        if let Some(rep) = precondition_reject(&name, taskset, device) {
-            return rep;
-        }
-
-        let mut checks = Vec::with_capacity(taskset.len());
-        for (k, tk) in taskset.iter() {
-            let slack_ratio = T::ONE - tk.density(); // 1 − Ck/Dk ≥ 0 (precondition)
-            let abnd_base = i64::from(device.columns()) - i64::from(tk.area());
-            let abnd =
-                T::from_i64(if self.config.rhs_plus_one { abnd_base + 1 } else { abnd_base });
-
-            let mut lhs = T::ZERO;
-            for (i, ti) in taskset.iter() {
-                if i == k {
-                    continue;
-                }
-                let w = time_work_bound(ti, tk.deadline());
-                let denom = match self.config.beta_denominator {
-                    Gn1BetaDenominator::InterferingDi => ti.deadline(),
-                    Gn1BetaDenominator::WindowDk => tk.deadline(),
-                };
-                let beta = w / denom;
-                lhs = lhs + ti.area_t() * beta.min_t(slack_ratio);
-            }
-            let rhs = abnd * slack_ratio;
-            let passed = lhs < rhs;
-            checks.push(TaskCheck {
-                task: k,
-                passed,
-                lhs: lhs.to_f64(),
-                rhs: rhs.to_f64(),
-                note: format!("Σ Ai·min(βi, 1−Ck/Dk) < {}·(1−Ck/Dk)", abnd.to_f64()),
-            });
-            if !passed {
-                return TestReport {
-                    test: name,
-                    verdict: Verdict::rejected(
-                        Some(k),
-                        format!(
-                            "interference {:.6} not below bound {:.6} at {k}",
-                            lhs.to_f64(),
-                            rhs.to_f64()
-                        ),
-                    ),
-                    checks,
-                };
-            }
-        }
-        TestReport { test: name, verdict: Verdict::Accepted, checks }
+    fn try_check(
+        &self,
+        taskset: &TaskSet<T>,
+        device: &Fpga,
+    ) -> Result<TestReport, ArithmeticOverflow> {
+        batch::report(Theorem::Gn1(self.config), SchedTest::<T>::name(self), taskset, device)
     }
 }
 
@@ -192,21 +129,25 @@ mod tests {
         TaskSet::try_from_tuples(&[(2.10, 5.0, 5.0, 7), (2.00, 7.0, 7.0, 7)]).unwrap()
     }
 
+    /// Lemma 4's `Wi` for τi in task k's window, from the kernel.
+    fn time_work(ts: &TaskSet<f64>, i: usize, dk: f64) -> f64 {
+        let t = ts.task(i);
+        crate::batch::time_work_bound(t.exec(), t.deadline(), t.period(), dk).unwrap()
+    }
+
     #[test]
     fn job_count_matches_paper() {
-        // Table 3, k=2: N1 = ⌊(7−5)/5⌋ + 1 = 1.
-        let ts = table3();
-        assert_eq!(job_count_ni(ts.task(0), 7.0), 1);
-        // Table 2, k=1: N2 = ⌊(8−9)/9⌋ + 1 = 0 (clamped computation).
-        let ts = table2();
-        assert_eq!(job_count_ni(ts.task(1), 8.0), 0);
+        // Table 3, k=2: N1 = ⌊(7−5)/5⌋ + 1 = 1, plus a carry-in of 2.
+        assert!((time_work(&table3(), 0, 7.0) - (2.1 + 2.0)).abs() < 1e-12);
+        // Table 2, k=1: N2 = ⌊(8−9)/9⌋ + 1 = 0 (clamped computation), so
+        // the whole window is carry-in: W2 = min(8, 8 − 0) = 8.
+        assert_eq!(time_work(&table2(), 1, 8.0), 8.0);
     }
 
     #[test]
     fn time_work_matches_paper_table3() {
         // Table 3, k=2: W1 = 1·2.1 + min(2.1, max(7−5, 0)) = 4.1 → β1 = 4.1/5.
-        let ts = table3();
-        let w = time_work_bound(ts.task(0), 7.0);
+        let w = time_work(&table3(), 0, 7.0);
         assert!((w - 4.1).abs() < 1e-12);
     }
 
@@ -259,8 +200,7 @@ mod tests {
         // paper's Table 3, τ1 interfering with τ2 gives β = 4.1/5 (paper,
         // Di = 5) vs 4.1/7 (BCL, Dk = 7). Neither variant dominates in
         // general: Wi/Dk is smaller when Di < Dk and larger when Di > Dk.
-        let ts = table3();
-        let w = time_work_bound(ts.task(0), 7.0);
+        let w = time_work(&table3(), 0, 7.0);
         assert!((w / 5.0 - 0.82).abs() < 1e-12, "paper β with Di");
         assert!((w / 7.0 - 4.1 / 7.0).abs() < 1e-12, "BCL β with Dk");
         // The choice is consequential: on Table 1 the paper's Di

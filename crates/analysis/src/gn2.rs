@@ -24,7 +24,7 @@
 //! Lemmas 5–10) lengthens the analysis window downward to bound carry-in
 //! demand, exactly as in Baker's multiprocessor analysis.
 //!
-//! ## Faithfulness notes (see DESIGN.md §3)
+//! ## Faithfulness notes (see `docs/THEORY.md`, "Theorem 3 — GN2")
 //!
 //! * **Condition 2 strictness.** The paper prints `≤`, but its Table 1
 //!   ("rejected by GN2") only reproduces with a strict `<`: at
@@ -44,19 +44,17 @@
 //!   between candidate points, and condition 2's right-hand side grows with
 //!   λ, so the grid search accepts strictly more tasksets.
 //!
-//! ## Scalar test and batch kernel
+//! ## Evaluation
 //!
-//! At the paper configuration the sweeps, `conform` and the online
-//! admission controller decide GN2 on the batch kernel
-//! ([`crate::batch`]), which repeats this test's arithmetic in the same
-//! order — evaluating βλk's λ-independent case 1 once per task instead of
-//! once per λ — and is property-tested bit-identical to it. [`Gn2Test`]
-//! stays the reference, the report builder (per-task rows for `margins`
-//! requests, the Section-6 walkthrough's [`Gn2Attempt`]s), the ablation
-//! variants and the exact `Rat64` evaluation.
+//! [`Gn2Test`] holds the configuration; both conditions — Lemma 7's `βλk`
+//! included — are evaluated by the analysis kernel ([`crate::batch`]), in
+//! `f64` or exactly. The kernel also builds what reports print: the
+//! per-task rows of [`SchedTest::check`] and the Section-6 walkthrough's
+//! [`Gn2Attempt`]s ([`Gn2Test::attempts_for_task`]).
 
-use crate::report::{TaskCheck, TestReport, Verdict};
-use crate::traits::{precondition_reject, SchedTest};
+use crate::batch::{self, exact, ArithmeticOverflow, Theorem};
+use crate::report::TestReport;
+use crate::traits::SchedTest;
 use fpga_rt_model::{Fpga, Task, TaskSet, Time};
 use serde::{Deserialize, Serialize};
 
@@ -116,33 +114,6 @@ pub struct Gn2Test {
     config: Gn2Config,
 }
 
-/// Sort ascending and deduplicate a list of λ values in place.
-fn sort_dedup<T: Time>(v: &mut Vec<T>) {
-    v.sort_by(|a, b| a.partial_cmp(b).expect("validated times are ordered"));
-    v.dedup_by(|a, b| a == b);
-}
-
-/// The global λ-candidate pool of a taskset:
-/// `{Ci/Ti} ∪ {Ci/Di : Di > Ti}` over **all** tasks, sorted ascending and
-/// deduplicated.
-///
-/// Every per-task candidate list of [`Gn2Test::lambda_candidates`] is a
-/// contiguous slice of this pool (each task's own `Ck/Tk` is a pool member,
-/// so the `λ ≥ Ck/Tk` filter is a `partition_point`), so a check sorts the
-/// pool once per taskset instead of once per task; the batch kernel packs
-/// the same pool.
-pub fn lambda_pool<T: Time>(taskset: &TaskSet<T>) -> Vec<T> {
-    let mut pool: Vec<T> = Vec::with_capacity(2 * taskset.len());
-    for t in taskset {
-        pool.push(t.time_utilization());
-        if t.deadline() > t.period() {
-            pool.push(t.density());
-        }
-    }
-    sort_dedup(&mut pool);
-    pool
-}
-
 /// One evaluated λ candidate for one task τk — the raw material of the
 /// paper's Section-6 GN2 walkthrough. All fields are reported in `f64`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -197,92 +168,23 @@ impl Gn2Test {
     }
 
     /// `βλk(i)` — the per-task demand ratio of `τi` over `τk`'s λ-extended
-    /// busy window (Lemma 7), with the configured case-2 value:
-    ///
-    /// ```text
-    ///            ⎧ max(ui, ui·(1 − Di/Dk) + Ci/Dk)   if ui ≤ λ     (case 1)
-    /// βλk(i) =   ⎨ λ  (Baker) / Ck/Tk (paper)        if ui > λ ∧ λ ≥ Ci/Di
-    ///            ⎩ ui + (Ci − λ·Di)/Dk               if ui > λ ∧ λ < Ci/Di
-    /// ```
-    ///
-    /// where `ui = Ci/Ti`. Case 2 only fires for post-period deadlines
-    /// (`Di > Ti`); see the module's faithfulness notes for the
-    /// Baker-vs-paper discrepancy.
+    /// busy window (Lemma 7, see the module docs), with the configured
+    /// case-2 value.
     pub fn beta_lambda<T: Time>(&self, ti: &Task<T>, tk: &Task<T>, lambda: T) -> T {
-        let ui = ti.time_utilization();
-        let dk = tk.deadline();
-        if ui <= lambda {
-            let extended = ui * (T::ONE - ti.deadline() / dk) + ti.exec() / dk;
-            ui.max_t(extended)
-        } else if lambda >= ti.density() {
-            match self.config.case2 {
-                Gn2Case2::BakerLambda => lambda,
-                Gn2Case2::PaperCkTk => tk.time_utilization(),
-            }
-        } else {
-            ui + (ti.exec() - lambda * ti.deadline()) / dk
-        }
+        exact(batch::beta_lambda(ti, tk, lambda, self.config.case2))
     }
 
     /// The λ candidates examined for task `k`, sorted ascending and
     /// deduplicated: discontinuity points of `βλk` plus grid points when
     /// configured, filtered to `λ ≥ Ck/Tk` and `λk ≤ 1`.
     pub fn lambda_candidates<T: Time>(&self, taskset: &TaskSet<T>, k: usize) -> Vec<T> {
-        self.lambda_candidates_with_pool(taskset, k, &lambda_pool(taskset))
-    }
-
-    /// [`Gn2Test::lambda_candidates`] with the global [`lambda_pool`]
-    /// supplied by the caller (`pool` must equal `lambda_pool(taskset)`).
-    ///
-    /// The paper points are the slice of the pool inside `[Ck/Tk, λmax]`
-    /// (`λmax = 1/max(1, Tk/Dk)`); a sorted+deduped slice of a sorted,
-    /// deduped pool *is* the sorted+deduped filtered candidate multiset, so
-    /// this returns bit-identical results to building the list per task.
-    /// Grid points, which depend on `Ck/Tk`, are still generated per task.
-    pub fn lambda_candidates_with_pool<T: Time>(
-        &self,
-        taskset: &TaskSet<T>,
-        k: usize,
-        pool: &[T],
-    ) -> Vec<T> {
-        let tk = taskset.task(k);
-        let uk = tk.time_utilization();
-        // λk = λ·max(1, Tk/Dk) ≤ 1  ⇔  λ ≤ min(1, Dk/Tk)
-        let scale = (tk.period() / tk.deadline()).max_t(T::ONE);
-        let lambda_max = T::ONE / scale;
-
-        let lo = pool.partition_point(|&l| l < uk);
-        let hi = pool.partition_point(|&l| l <= lambda_max);
-        let mut cands: Vec<T> = if hi > lo { pool[lo..hi].to_vec() } else { Vec::new() };
-        if let Gn2LambdaSearch::Grid { points } = self.config.lambda_search {
-            if points > 0 && lambda_max > uk {
-                let n = T::from_i64(points as i64);
-                let step = (lambda_max - uk) / n;
-                let mut v = uk;
-                for _ in 0..=points {
-                    cands.push(v);
-                    v = v + step;
-                }
-                cands.retain(|&l| l >= uk && l <= lambda_max);
-                sort_dedup(&mut cands);
-            }
-        }
-        cands
+        exact(batch::gn2_candidates(&self.config, taskset, k))
     }
 
     /// Evaluate both conditions of Theorem 3 for task `k` at one λ,
     /// returning the full [`Gn2Attempt`] (λk, both sides of both
-    /// inequalities, all βλk values):
-    ///
-    /// ```text
-    /// (1)  Σ_i Ai·min(βλk(i), 1 − λk)  <  Abnd·(1 − λk)
-    /// (2)  Σ_i Ai·min(βλk(i), 1)       <  (Abnd − Amin)·(1 − λk) + Amin
-    /// Abnd = A(H) − Amax + 1 ,  λk = λ·max(1, Tk/Dk)
-    /// ```
-    ///
-    /// Task `k` passes at this λ when either condition holds (condition 2
-    /// is evaluated non-strictly when [`Gn2Config::condition2_strict`] is
-    /// `false`).
+    /// inequalities, all βλk values). Task `k` passes at this λ when either
+    /// condition holds.
     pub fn evaluate_lambda<T: Time>(
         &self,
         taskset: &TaskSet<T>,
@@ -290,38 +192,9 @@ impl Gn2Test {
         k: usize,
         lambda: T,
     ) -> Gn2Attempt {
-        let tk = taskset.task(k);
-        let scale = (tk.period() / tk.deadline()).max_t(T::ONE);
-        let lambda_k = lambda * scale;
-        let one_minus = T::ONE - lambda_k;
-        let abnd = T::from_i64(i64::from(device.columns()) - i64::from(taskset.amax()) + 1);
-        let amin = T::from_u32(taskset.amin());
-
-        let mut lhs1 = T::ZERO;
-        let mut lhs2 = T::ZERO;
-        let mut betas = Vec::with_capacity(taskset.len());
-        for ti in taskset {
-            let beta = self.beta_lambda(ti, tk, lambda);
-            betas.push(beta.to_f64());
-            let a = ti.area_t();
-            lhs1 = lhs1 + a * beta.min_t(one_minus);
-            lhs2 = lhs2 + a * beta.min_t(T::ONE);
-        }
-        let rhs1 = abnd * one_minus;
-        let rhs2 = (abnd - amin) * one_minus + amin;
-        let cond1 = lhs1 < rhs1;
-        let cond2 = if self.config.condition2_strict { lhs2 < rhs2 } else { lhs2 <= rhs2 };
-        Gn2Attempt {
-            lambda: lambda.to_f64(),
-            lambda_k: lambda_k.to_f64(),
-            lhs1: lhs1.to_f64(),
-            rhs1: rhs1.to_f64(),
-            cond1,
-            lhs2: lhs2.to_f64(),
-            rhs2: rhs2.to_f64(),
-            cond2,
-            betas,
-        }
+        let mut attempts =
+            exact(batch::gn2_attempts(&self.config, taskset, device, k, Some(&[lambda])));
+        attempts.pop().expect("one attempt per λ")
     }
 
     /// All attempts for task `k`, in candidate order — used by the
@@ -332,10 +205,7 @@ impl Gn2Test {
         device: &Fpga,
         k: usize,
     ) -> Vec<Gn2Attempt> {
-        self.lambda_candidates(taskset, k)
-            .into_iter()
-            .map(|l| self.evaluate_lambda(taskset, device, k, l))
-            .collect()
+        exact(batch::gn2_attempts(&self.config, taskset, device, k, None))
     }
 }
 
@@ -348,67 +218,12 @@ impl<T: Time> SchedTest<T> for Gn2Test {
         }
     }
 
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
-        let name = SchedTest::<T>::name(self).to_string();
-        if let Some(rep) = precondition_reject(&name, taskset, device) {
-            return rep;
-        }
-
-        let pool = lambda_pool(taskset);
-        let mut checks = Vec::with_capacity(taskset.len());
-        for k in 0..taskset.len() {
-            let candidates = self.lambda_candidates_with_pool(taskset, k, &pool);
-            let mut passing: Option<Gn2Attempt> = None;
-            let mut best: Option<Gn2Attempt> = None;
-            for lambda in candidates {
-                let attempt = self.evaluate_lambda(taskset, device, k, lambda);
-                let ok = attempt.cond1 || attempt.cond2;
-                // Track the attempt with the smallest condition-2 deficit for
-                // diagnostics when everything fails.
-                let better = match &best {
-                    None => true,
-                    Some(b) => attempt.lhs2 - attempt.rhs2 < b.lhs2 - b.rhs2,
-                };
-                if better {
-                    best = Some(attempt.clone());
-                }
-                if ok {
-                    passing = Some(attempt);
-                    break;
-                }
-            }
-            let id = fpga_rt_model::TaskId(k);
-            match passing {
-                Some(a) => {
-                    let via = if a.cond1 { "cond1" } else { "cond2" };
-                    checks.push(TaskCheck {
-                        task: id,
-                        passed: true,
-                        lhs: if a.cond1 { a.lhs1 } else { a.lhs2 },
-                        rhs: if a.cond1 { a.rhs1 } else { a.rhs2 },
-                        note: format!("{via} holds at λ={:.6}", a.lambda),
-                    });
-                }
-                None => {
-                    let (lhs, rhs, note) = match best {
-                        Some(b) => {
-                            (b.lhs2, b.rhs2, format!("no λ works; closest at λ={:.6}", b.lambda))
-                        }
-                        None => (f64::INFINITY, 0.0, "no feasible λ candidate".to_string()),
-                    };
-                    checks.push(TaskCheck { task: id, passed: false, lhs, rhs, note });
-                    return TestReport {
-                        test: name,
-                        verdict: Verdict::rejected(
-                            Some(id),
-                            format!("no λ satisfies condition 1 or 2 for {id}"),
-                        ),
-                        checks,
-                    };
-                }
-            }
-        }
-        TestReport { test: name, verdict: Verdict::Accepted, checks }
+    fn try_check(
+        &self,
+        taskset: &TaskSet<T>,
+        device: &Fpga,
+    ) -> Result<TestReport, ArithmeticOverflow> {
+        batch::report(Theorem::Gn2(self.config), SchedTest::<T>::name(self), taskset, device)
     }
 }
 
@@ -478,7 +293,7 @@ mod tests {
     /// In exact arithmetic the Table 1 condition-2 comparison is an exact
     /// equality (69/25 on both sides at λ = C2/T2), so the strict test
     /// rejects and the paper's printed non-strict test accepts. This is the
-    /// knife edge documented in DESIGN.md §3.
+    /// knife edge documented in `docs/THEORY.md` ("Theorem 3 — GN2").
     #[test]
     fn table1_knife_edge_exact() {
         let ts = table1_exact();

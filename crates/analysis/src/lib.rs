@@ -23,16 +23,15 @@
 //! * [`AnyOfTest`] — the composite the paper recommends in Section 6:
 //!   *"different schedulability bounds should be applied together, i.e.,
 //!   determine that a taskset is unschedulable only if all tests fail."*
-//! * [`batch`] — the hot-path kernel: [`BatchAnalyzer`] evaluates the
-//!   paper-default DP/GN1/GN2/AnyOf verdicts over structure-of-arrays
-//!   packed tasksets ([`TaskSetBatch`]) with zero per-taskset heap
-//!   allocation, bit-identical to the scalar tests (the sweep and
-//!   conformance engines ride this kernel).
+//! * [`batch`] — the analysis kernel, the one implementation of Theorems
+//!   1–3, which the tests' reports and [`BatchAnalyzer`]'s allocation-free
+//!   verdicts over packed tasksets ([`TaskSetBatch`]) both run.
 //!
-//! All tests are generic over [`fpga_rt_model::Time`], so each verdict can be
-//! computed in `f64` (fast) or in exact rational arithmetic
+//! The kernel is generic over [`fpga_rt_model::Time`], so each verdict can
+//! be computed in `f64` (fast) or in exact rational arithmetic
 //! ([`fpga_rt_model::Rat64`]) — the latter matters for knife-edge tasksets
-//! like the paper's Table 1 (see crate `fpga-rt-model` docs).
+//! like the paper's Table 1. Exact overflow comes back from
+//! [`SchedTest::try_check`] as an [`ArithmeticOverflow`].
 //!
 //! Every test returns a structured [`TestReport`] carrying per-task margins
 //! for debugging and for the experiment harness; [`SchedTest::is_schedulable`]
@@ -74,12 +73,13 @@ pub mod report;
 pub mod traits;
 
 pub use batch::{
-    AnalysisSeries, BatchAnalyzer, BatchVerdict, BatchVerdicts, ScratchSpace, TaskSetBatch,
+    AnalysisSeries, ArithmeticOverflow, BatchAnalyzer, BatchVerdict, BatchVerdicts, ScratchSpace,
+    TaskSetBatch, Theorem,
 };
 pub use composite::{AllOfTest, AnyOfTest};
 pub use dp::{DpAreaBound, DpConfig, DpSlack, DpTest};
 pub use gn1::{Gn1BetaDenominator, Gn1Config, Gn1Test};
-pub use gn2::{lambda_pool, Gn2Case2, Gn2Config, Gn2LambdaSearch, Gn2Test};
+pub use gn2::{Gn2Attempt, Gn2Case2, Gn2Config, Gn2LambdaSearch, Gn2Test};
 pub use necessary::NecessaryTest;
 pub use report::{TaskCheck, TestReport, Verdict};
 pub use traits::SchedTest;

@@ -13,10 +13,13 @@
 //! 3. **Reuse** — downstream users get classic multiprocessor tests for
 //!    free.
 //!
-//! All three are implemented from the original formulas, *not* by calling
-//! the FPGA code, so the reduction check is meaningful.
+//! Each evaluates its ancestor's own inequality, so the reduction check
+//! compares two different formulas; the lemmas they share with the FPGA
+//! tests (Lemma 4's `Wi`, Lemma 7's `βλk` and λ candidates) come from the
+//! analysis kernel ([`crate::batch`]). They compute with the `Time`
+//! operators, which panic on exact overflow instead of returning `Err`.
 
-use crate::gn1::time_work_bound;
+use crate::batch::{exact, time_work_bound, ArithmeticOverflow};
 use crate::report::{TaskCheck, TestReport, Verdict};
 use crate::traits::SchedTest;
 use fpga_rt_model::{Fpga, TaskSet, Time};
@@ -35,7 +38,11 @@ impl<T: Time> SchedTest<T> for GfbTest {
         "GFB"
     }
 
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
+    fn try_check(
+        &self,
+        taskset: &TaskSet<T>,
+        device: &Fpga,
+    ) -> Result<TestReport, ArithmeticOverflow> {
         let m = T::from_u32(device.columns());
         let ut = taskset.time_utilization();
         let umax =
@@ -49,7 +56,7 @@ impl<T: Time> SchedTest<T> for GfbTest {
             rhs: bound.to_f64(),
             note: format!("UT ≤ m(1−umax)+umax, m={}", device.columns()),
         };
-        TestReport {
+        Ok(TestReport {
             test: "GFB".into(),
             verdict: if passed {
                 Verdict::Accepted
@@ -57,7 +64,7 @@ impl<T: Time> SchedTest<T> for GfbTest {
                 Verdict::rejected(None, format!("UT={:.6} > {:.6}", ut.to_f64(), bound.to_f64()))
             },
             checks: vec![check],
-        }
+        })
     }
 }
 
@@ -76,7 +83,11 @@ impl<T: Time> SchedTest<T> for BclTest {
         "BCL"
     }
 
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
+    fn try_check(
+        &self,
+        taskset: &TaskSet<T>,
+        device: &Fpga,
+    ) -> Result<TestReport, ArithmeticOverflow> {
         let m = T::from_u32(device.columns());
         let mut checks = Vec::with_capacity(taskset.len());
         for (k, tk) in taskset.iter() {
@@ -86,7 +97,9 @@ impl<T: Time> SchedTest<T> for BclTest {
                 if i == k {
                     continue;
                 }
-                let beta = time_work_bound(ti, tk.deadline()) / tk.deadline();
+                let w =
+                    exact(time_work_bound(ti.exec(), ti.deadline(), ti.period(), tk.deadline()));
+                let beta = w / tk.deadline();
                 lhs = lhs + beta.min_t(slack_ratio);
             }
             let rhs = m * slack_ratio;
@@ -99,14 +112,14 @@ impl<T: Time> SchedTest<T> for BclTest {
                 note: "Σ min(βi, 1−λk) < m(1−λk)".into(),
             });
             if !passed {
-                return TestReport {
+                return Ok(TestReport {
                     test: "BCL".into(),
                     verdict: Verdict::rejected(Some(k), format!("fails at {k}")),
                     checks,
-                };
+                });
             }
         }
-        TestReport { test: "BCL".into(), verdict: Verdict::Accepted, checks }
+        Ok(TestReport { test: "BCL".into(), verdict: Verdict::Accepted, checks })
     }
 }
 
@@ -129,7 +142,11 @@ impl<T: Time> SchedTest<T> for Bak2Test {
         "BAK2"
     }
 
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
+    fn try_check(
+        &self,
+        taskset: &TaskSet<T>,
+        device: &Fpga,
+    ) -> Result<TestReport, ArithmeticOverflow> {
         // The CPU case is exactly the FPGA case with every area = 1 and
         // A(H) = m; we re-derive it here from the original formulas.
         let m = T::from_u32(device.columns());
@@ -174,15 +191,15 @@ impl<T: Time> SchedTest<T> for Bak2Test {
                         rhs: 0.0,
                         note: "no λ works".into(),
                     });
-                    return TestReport {
+                    return Ok(TestReport {
                         test: "BAK2".into(),
                         verdict: Verdict::rejected(Some(id), format!("fails at {id}")),
                         checks,
-                    };
+                    });
                 }
             }
         }
-        TestReport { test: "BAK2".into(), verdict: Verdict::Accepted, checks }
+        Ok(TestReport { test: "BAK2".into(), verdict: Verdict::Accepted, checks })
     }
 }
 

@@ -19,6 +19,7 @@
 //! 4. total system utilization `US(Γ) ≤ A(H)` (long-run area-time demand
 //!    cannot exceed supply).
 
+use crate::batch::ArithmeticOverflow;
 use crate::report::{TaskCheck, TestReport, Verdict};
 use crate::traits::SchedTest;
 use fpga_rt_model::{Fpga, TaskSet, Time};
@@ -33,7 +34,11 @@ impl<T: Time> SchedTest<T> for NecessaryTest {
         "NEC"
     }
 
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
+    fn try_check(
+        &self,
+        taskset: &TaskSet<T>,
+        device: &Fpga,
+    ) -> Result<TestReport, ArithmeticOverflow> {
         let mut checks = Vec::with_capacity(taskset.len() + 1);
         for (id, t) in taskset.iter() {
             let fits = t.area() <= device.columns();
@@ -46,21 +51,28 @@ impl<T: Time> SchedTest<T> for NecessaryTest {
                 note: format!("Ak={} ≤ A(H)={}, C ≤ min(D,T)", t.area(), device.columns()),
             });
             if !fits {
-                return TestReport {
+                return Ok(TestReport {
                     test: "NEC".into(),
                     verdict: Verdict::rejected(Some(id), format!("{id} is wider than the device")),
                     checks,
-                };
+                });
             }
             if !feasible {
-                return TestReport {
+                return Ok(TestReport {
                     test: "NEC".into(),
                     verdict: Verdict::rejected(Some(id), format!("{id} has C exceeding D or T")),
                     checks,
-                };
+                });
             }
         }
-        let us = taskset.system_utilization();
+        // `US(Γ)` folded in task order, as `TaskSet::system_utilization`.
+        let us = taskset
+            .tasks()
+            .iter()
+            .try_fold(T::ZERO, |acc, t| {
+                acc.checked_add(t.exec().checked_mul(t.area_t())?.checked_div(t.period())?)
+            })
+            .ok_or(ArithmeticOverflow)?;
         let cap = T::from_u32(device.columns());
         let passed = us <= cap;
         checks.push(TaskCheck {
@@ -70,7 +82,7 @@ impl<T: Time> SchedTest<T> for NecessaryTest {
             rhs: cap.to_f64(),
             note: "US(Γ) ≤ A(H)".into(),
         });
-        TestReport {
+        Ok(TestReport {
             test: "NEC".into(),
             verdict: if passed {
                 Verdict::Accepted
@@ -81,7 +93,7 @@ impl<T: Time> SchedTest<T> for NecessaryTest {
                 )
             },
             checks,
-        }
+        })
     }
 }
 

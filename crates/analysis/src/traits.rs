@@ -1,5 +1,6 @@
 //! The [`SchedTest`] trait implemented by every bound test.
 
+use crate::batch::{exact, ArithmeticOverflow};
 use crate::report::TestReport;
 use fpga_rt_model::{Fpga, TaskSet, Time};
 
@@ -18,12 +19,24 @@ pub trait SchedTest<T: Time> {
     /// series name in the experiment harness.
     fn name(&self) -> &str;
 
-    /// Run the test, producing per-task diagnostics.
+    /// Run the test, producing per-task diagnostics, or `Err` when exact
+    /// arithmetic cannot represent a value of the analysis — the entry
+    /// point of the exact modes.
     ///
     /// Preconditions (checked, reported as rejection rather than panics):
     /// every task fits the device; implementations additionally reject
     /// trivially infeasible tasks (`Ck > Dk`).
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport;
+    fn try_check(
+        &self,
+        taskset: &TaskSet<T>,
+        device: &Fpga,
+    ) -> Result<TestReport, ArithmeticOverflow>;
+
+    /// [`SchedTest::try_check`] where overflow is a programming error (it
+    /// never happens in `f64`): an exact overflow panics.
+    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
+        exact(self.try_check(taskset, device).ok())
+    }
 
     /// Boolean convenience wrapper around [`SchedTest::check`].
     fn is_schedulable(&self, taskset: &TaskSet<T>, device: &Fpga) -> bool {
@@ -37,8 +50,12 @@ impl<T: Time, S: SchedTest<T> + ?Sized> SchedTest<T> for &S {
     fn name(&self) -> &str {
         (**self).name()
     }
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
-        (**self).check(taskset, device)
+    fn try_check(
+        &self,
+        taskset: &TaskSet<T>,
+        device: &Fpga,
+    ) -> Result<TestReport, ArithmeticOverflow> {
+        (**self).try_check(taskset, device)
     }
 }
 
@@ -46,75 +63,11 @@ impl<T: Time, S: SchedTest<T> + ?Sized> SchedTest<T> for Box<S> {
     fn name(&self) -> &str {
         (**self).name()
     }
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
-        (**self).check(taskset, device)
-    }
-}
-
-/// Shared precondition guard used by all concrete tests: rejects tasksets
-/// that cannot possibly be scheduled regardless of the bound being evaluated.
-///
-/// Returns `Some(report)` when the taskset is rejected up front.
-pub(crate) fn precondition_reject<T: Time>(
-    test_name: &str,
-    taskset: &TaskSet<T>,
-    device: &Fpga,
-) -> Option<TestReport> {
-    use crate::report::Verdict;
-    use fpga_rt_model::TaskId;
-
-    if let Err(e) = taskset.validate_for(device) {
-        let failing = match &e {
-            fpga_rt_model::ModelError::TaskWiderThanDevice { task, .. } => Some(TaskId(*task)),
-            _ => None,
-        };
-        return Some(TestReport {
-            test: test_name.to_string(),
-            verdict: Verdict::rejected(failing, e.to_string()),
-            checks: vec![],
-        });
-    }
-    for (id, t) in taskset.iter() {
-        if t.is_trivially_infeasible() {
-            return Some(TestReport {
-                test: test_name.to_string(),
-                verdict: Verdict::rejected(
-                    Some(id),
-                    format!("{id} has C > D and can never meet a deadline"),
-                ),
-                checks: vec![],
-            });
-        }
-    }
-    None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fpga_rt_model::TaskSet;
-
-    #[test]
-    fn precondition_rejects_wide_task() {
-        let ts: TaskSet<f64> = TaskSet::try_from_tuples(&[(1.0, 5.0, 5.0, 20)]).unwrap();
-        let dev = Fpga::new(10).unwrap();
-        let rep = precondition_reject("X", &ts, &dev).unwrap();
-        assert!(!rep.accepted());
-        assert_eq!(rep.failing_task(), Some(fpga_rt_model::TaskId(0)));
-    }
-
-    #[test]
-    fn precondition_rejects_infeasible_exec() {
-        let ts: TaskSet<f64> = TaskSet::try_from_tuples(&[(6.0, 5.0, 5.0, 1)]).unwrap();
-        let dev = Fpga::new(10).unwrap();
-        let rep = precondition_reject("X", &ts, &dev).unwrap();
-        assert!(!rep.accepted());
-    }
-
-    #[test]
-    fn precondition_passes_valid_set() {
-        let ts: TaskSet<f64> = TaskSet::try_from_tuples(&[(1.0, 5.0, 5.0, 2)]).unwrap();
-        let dev = Fpga::new(10).unwrap();
-        assert!(precondition_reject("X", &ts, &dev).is_none());
+    fn try_check(
+        &self,
+        taskset: &TaskSet<T>,
+        device: &Fpga,
+    ) -> Result<TestReport, ArithmeticOverflow> {
+        (**self).try_check(taskset, device)
     }
 }

@@ -3,7 +3,8 @@
 //! about the three tests.
 
 use fpga_rt_analysis::{
-    AnyOfTest, DpTest, Gn1Test, Gn2LambdaSearch, Gn2Test, SchedTest, TestReport, Verdict,
+    AnyOfTest, ArithmeticOverflow, DpTest, Gn1Test, Gn2LambdaSearch, Gn2Test, SchedTest,
+    TestReport, Verdict,
 };
 use fpga_rt_model::{Fpga, TaskSet, Time};
 use proptest::prelude::*;
@@ -21,9 +22,13 @@ impl<T: Time, S: SchedTest<T>> SchedTest<T> for Counted<S> {
     fn name(&self) -> &str {
         self.inner.name()
     }
-    fn check(&self, taskset: &TaskSet<T>, device: &Fpga) -> TestReport {
+    fn try_check(
+        &self,
+        taskset: &TaskSet<T>,
+        device: &Fpga,
+    ) -> Result<TestReport, ArithmeticOverflow> {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.check(taskset, device)
+        self.inner.try_check(taskset, device)
     }
 }
 
@@ -226,4 +231,35 @@ proptest! {
             prop_assert!(DpTest::default().is_schedulable(&without, &dev));
         }
     }
+
+    /// Dropping any task keeps a GN1 acceptance, with deadlines below, at
+    /// and above the periods. Each remaining row loses the non-negative
+    /// term `Aj·min(βj, 1 − Ck/Dk)` from its left-hand side and keeps its
+    /// right-hand side; the left-hand side is a sum of non-negative terms
+    /// in task order, and round-to-nearest is monotone, so the f64 sum
+    /// cannot grow either.
+    #[test]
+    fn gn1_antimonotone_in_tasks(ts in constrained_or_not(2..7), drop in 0usize..7) {
+        let dev = Fpga::new(40).unwrap();
+        if Gn1Test::default().is_schedulable(&ts, &dev) {
+            let mut tasks = ts.tasks().to_vec();
+            tasks.remove(drop % tasks.len());
+            let without = TaskSet::new(tasks).unwrap();
+            prop_assert!(Gn1Test::default().is_schedulable(&without, &dev));
+        }
+    }
+}
+
+/// Tasksets whose deadlines lie below, at or above their periods (never
+/// below the execution time).
+fn constrained_or_not(n: std::ops::Range<usize>) -> impl Strategy<Value = TaskSet<f64>> {
+    proptest::collection::vec(
+        (50u32..200, 1u32..99, 1u32..30, 50u32..200).prop_map(|(t10, f100, a, d100)| {
+            let period = f64::from(t10) / 10.0;
+            let exec = period * f64::from(f100) / 100.0;
+            (exec, (period * f64::from(d100) / 100.0).max(exec), period, a)
+        }),
+        n,
+    )
+    .prop_map(|v| TaskSet::try_from_tuples(&v).expect("positive"))
 }

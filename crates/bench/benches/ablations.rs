@@ -1,4 +1,5 @@
-//! Runtime cost of the configuration ablations (DESIGN.md X1–X3): how much
+//! Runtime cost of the configuration ablations (X1–X3 in `docs/THEORY.md`,
+//! "Theorem 1 — DP" to "Theorem 3 — GN2"): how much
 //! slower is the GN2 dense-grid λ search than the paper's candidate points,
 //! and what do the GN1/DP variants cost.
 

@@ -1,13 +1,12 @@
-//! `batch_analysis` — the SoA batch kernel against the scalar
-//! DP/GN1/GN2/AnyOf evaluators on fixed 256-taskset populations from every
-//! figure distribution.
+//! `batch_analysis` — the analysis kernel's packed batch path against the
+//! closure ("scalar") DP/GN1/GN2/AnyOf evaluators on fixed 256-taskset
+//! populations from every figure distribution.
 //!
-//! Both rows evaluate the identical verdicts (the kernel is bit-identical
-//! by contract, asserted by `crates/analysis/tests/batch_equiv.rs`), so
-//! the ratio is pure evaluator overhead: report/`format!` allocation, the
-//! composite's component re-runs, and per-λ scratch vectors on the scalar
-//! side versus one packed pass on the batch side. `kernel_report` prints
-//! the tasksets/sec ratio directly.
+//! Both rows run the same kernel and evaluate the identical verdicts, so
+//! the ratio is pure evaluator overhead: a pack, report rows and
+//! `format!`ed notes per series, and the composite's component re-runs on
+//! the closure side, versus one packed pass for all four series on the
+//! batch side. `kernel_report` prints the tasksets/sec ratio directly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpga_rt_analysis::{BatchAnalyzer, TaskSetBatch};
@@ -23,8 +22,8 @@ fn population(workload: &FigureWorkload) -> Vec<TaskSet<f64>> {
     figure_tasksets(workload, POPULATION, 20070326)
 }
 
-/// Scalar reference: every evaluator of
-/// [`analysis_evaluators_scalar`] on every taskset.
+/// Closure path: every evaluator of [`analysis_evaluators_scalar`] on
+/// every taskset.
 fn run_scalar(tasksets: &[TaskSet<f64>], device: &fpga_rt_model::Fpga) -> usize {
     let evaluators = analysis_evaluators_scalar();
     let mut accepted = 0usize;

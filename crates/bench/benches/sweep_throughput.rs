@@ -5,9 +5,11 @@
 //! * **worker scaling** — 1, 2 and all-core pools on the default (batch)
 //!   kernel; because the engine is deterministic in the worker count,
 //!   every row evaluates the *identical* work.
-//! * **kernel comparison** — the batch SoA kernel against the scalar
-//!   reference evaluators at one worker (`kernel_speedup_report` prints
-//!   the ratio; the kernel's acceptance criterion is batch ≥ 1.5× scalar).
+//! * **kernel comparison** — the batch path (one packed SoA pass for all
+//!   four series) against the closure ("scalar") evaluators, whose
+//!   `SchedTest::check` builds a report per series on the same analysis
+//!   kernel, at one worker (`kernel_speedup_report` prints the ratio; the
+//!   acceptance criterion is batch ≥ 1.5× scalar).
 //!
 //! Worker counts honour `FPGA_RT_BENCH_MAX_WORKERS`
 //! ([`fpga_rt_bench::bench_worker_counts`]) so CI perf jobs can pin the

@@ -14,9 +14,9 @@
 //! | `rational` | exact-arithmetic cost vs f64 |
 //! | `ablations` | λ-search and β-denominator configuration costs |
 //! | `admission` | online admission-control decisions/sec at batch 1/64/1024 |
-//! | `sweep_throughput` | pool-parallel sweep engine: worker scaling + batch-vs-scalar kernel |
+//! | `sweep_throughput` | pool-parallel sweep engine: worker scaling + batch-vs-closure path |
 //! | `conform_throughput` | pool-parallel conformance engine scaling vs worker count |
-//! | `batch_analysis` | SoA batch kernel vs scalar DP/GN1/GN2/AnyOf per figure workload |
+//! | `batch_analysis` | packed batch path vs per-test `check` reports (one kernel) per figure workload |
 //!
 //! This library only hosts shared fixture helpers; run the suite with
 //! `cargo bench -p fpga-rt-bench`. Pool-backed benches honour

@@ -7,11 +7,13 @@ use crate::args::{
 };
 use crate::io::{device_from, taskset_from};
 use crate::ExitCode;
-use fpga_rt_analysis::{AnyOfTest, DpTest, Gn1Test, Gn2Test, NecessaryTest, SchedTest, TestReport};
+use fpga_rt_analysis::{
+    AnyOfTest, ArithmeticOverflow, DpTest, Gn1Test, Gn2Test, NecessaryTest, SchedTest, TestReport,
+};
 use fpga_rt_exp::study::{Study, StudyConfig};
 use fpga_rt_exp::sweep::{analysis_evaluators, run_pool_sweep, PoolSweepConfig};
 use fpga_rt_gen::{FigureWorkload, TasksetSpec, UtilizationBins};
-use fpga_rt_model::{Fpga, Rat64, TaskSet};
+use fpga_rt_model::{Fpga, Rat64, TaskSet, Time};
 use fpga_rt_service::{
     serve_session_with_obs, ClientStream, Endpoint, ServeConfig, SocketServer, TransportConfig,
 };
@@ -22,28 +24,24 @@ use std::io::Write;
 
 type CmdResult = Result<ExitCode, String>;
 
-/// Run `f`, mapping a `Rat64` i64-overflow panic into a clean usage error
-/// (process exit code 2) instead of a crash.
-///
-/// `Rat64` operators panic on overflow by design — exact mode must never
-/// silently lose precision — and full-precision `f64` inputs can drive
-/// GN2's products past i64 range. Every subcommand that can run exact
-/// arithmetic (`check --exact`, `size --exact`, `tables`) routes through
-/// this guard; any other panic is a real bug and keeps unwinding.
-pub(crate) fn catch_rat64_overflow<R>(f: impl FnOnce() -> R) -> Result<R, String> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(r) => Ok(r),
-        Err(payload) => {
-            if Rat64::is_overflow_panic(payload.as_ref()) {
-                Err("exact arithmetic overflowed i64 for this taskset; \
-                     exact verdicts need small-denominator (knife-edge) \
-                     parameters — use the default f64 mode instead"
-                    .to_string())
-            } else {
-                std::panic::resume_unwind(payload)
-            }
-        }
-    }
+/// The `--exact` paths' error: exact arithmetic overflowed on this taskset
+/// (process exit code 2). `Rat64` never silently loses precision, and
+/// full-precision `f64` inputs can drive the analysis past i64 range.
+fn exact_overflow(overflow: ArithmeticOverflow) -> String {
+    format!(
+        "{overflow}; exact verdicts need small-denominator (knife-edge) \
+         parameters — use the default f64 mode instead"
+    )
+}
+
+/// The taskset in exact rationals, for the `--exact` paths.
+fn exact_taskset(ts: &TaskSet<f64>) -> Result<TaskSet<Rat64>, String> {
+    // Model validation guarantees finite inputs, so the continued-fraction
+    // conversion cannot fail here.
+    ts.map_time(|v| {
+        Rat64::approx_f64(v, Rat64::TASK_MAX_DENOMINATOR).expect("validated finite task parameters")
+    })
+    .map_err(|e| e.to_string())
 }
 
 fn report_line(out: &mut dyn Write, rep: &TestReport, verbose: bool) {
@@ -60,83 +58,35 @@ pub fn check(args: &Args, out: &mut dyn Write) -> CmdResult {
     let ts = taskset_from(args)?;
     let dev = device_from(args)?;
     let which = args.flags.get("test").map(String::as_str).unwrap_or("any");
-    let verbose = args.has("verbose");
-    let exact = args.has("exact");
-
-    let run_on = |out: &mut dyn Write, ts_f: &TaskSet<f64>| -> Result<bool, String> {
-        let reports: Vec<TestReport> = if exact {
-            // Model validation guarantees finite inputs, so the continued-
-            // fraction conversion cannot fail here.
-            let ts_x = ts_f
-                .map_time(|v| {
-                    Rat64::approx_f64(v, Rat64::TASK_MAX_DENOMINATOR)
-                        .expect("validated finite task parameters")
-                })
-                .map_err(|e| e.to_string())?;
-            let tests = selected_tests(which)?;
-            catch_rat64_overflow(|| {
-                tests.iter().map(|t| t.check_exact(&ts_x, &dev)).collect::<Vec<_>>()
-            })?
-        } else {
-            selected_tests(which)?.iter().map(|t| t.check_f64(ts_f, &dev)).collect()
-        };
-        let mut any = false;
-        for rep in &reports {
-            report_line(out, rep, verbose);
-            any |= rep.accepted();
-        }
-        Ok(any)
+    let reports = if args.has("exact") {
+        run_tests(which, &exact_taskset(&ts)?, &dev)?
+    } else {
+        run_tests(which, &ts, &dev)?
     };
-
-    let accepted = run_on(out, &ts)?;
+    let mut accepted = false;
+    for rep in &reports {
+        report_line(out, rep, args.has("verbose"));
+        accepted |= rep.accepted();
+    }
     Ok(if accepted { ExitCode::Accepted } else { ExitCode::Rejected })
 }
 
-/// A test selectable from the command line, runnable in both numeric modes.
-enum CliTest {
-    Dp(DpTest),
-    Gn1(Gn1Test),
-    Gn2(Gn2Test),
-    Nec(NecessaryTest),
-    Any,
-}
-
-impl CliTest {
-    fn check_f64(&self, ts: &TaskSet<f64>, dev: &Fpga) -> TestReport {
-        match self {
-            CliTest::Dp(t) => t.check(ts, dev),
-            CliTest::Gn1(t) => t.check(ts, dev),
-            CliTest::Gn2(t) => t.check(ts, dev),
-            CliTest::Nec(t) => t.check(ts, dev),
-            CliTest::Any => AnyOfTest::paper_suite().check(ts, dev),
-        }
-    }
-
-    fn check_exact(&self, ts: &TaskSet<Rat64>, dev: &Fpga) -> TestReport {
-        match self {
-            CliTest::Dp(t) => t.check(ts, dev),
-            CliTest::Gn1(t) => t.check(ts, dev),
-            CliTest::Gn2(t) => t.check(ts, dev),
-            CliTest::Nec(t) => t.check(ts, dev),
-            CliTest::Any => AnyOfTest::paper_suite().check(ts, dev),
-        }
-    }
-}
-
-fn selected_tests(which: &str) -> Result<Vec<CliTest>, String> {
-    Ok(match which {
-        "dp" => vec![CliTest::Dp(DpTest::default())],
-        "gn1" => vec![CliTest::Gn1(Gn1Test::default())],
-        "gn2" => vec![CliTest::Gn2(Gn2Test::default())],
-        "nec" => vec![CliTest::Nec(NecessaryTest)],
-        "any" => vec![CliTest::Any],
+/// Every report of the selected tests, or the first exact overflow.
+fn run_tests<T: Time>(which: &str, ts: &TaskSet<T>, dev: &Fpga) -> Result<Vec<TestReport>, String> {
+    let tests: Vec<Box<dyn SchedTest<T> + Send + Sync>> = match which {
+        "dp" => vec![Box::new(DpTest::default())],
+        "gn1" => vec![Box::new(Gn1Test::default())],
+        "gn2" => vec![Box::new(Gn2Test::default())],
+        "nec" => vec![Box::new(NecessaryTest)],
+        "any" => vec![Box::new(AnyOfTest::paper_suite())],
         "all" => vec![
-            CliTest::Dp(DpTest::default()),
-            CliTest::Gn1(Gn1Test::default()),
-            CliTest::Gn2(Gn2Test::default()),
+            Box::new(DpTest::default()),
+            Box::new(Gn1Test::default()),
+            Box::new(Gn2Test::default()),
         ],
         other => return Err(format!("unknown test {other:?} (dp|gn1|gn2|nec|any|all)")),
-    })
+    };
+    tests.iter().map(|t| t.try_check(ts, dev).map_err(exact_overflow)).collect()
 }
 
 /// `fpga-rt simulate` — run the discrete-event simulator.
@@ -205,33 +155,36 @@ pub fn simulate(args: &Args, out: &mut dyn Write) -> CmdResult {
 /// Smallest device (in `[lo, max]` columns) each test accepts, generic over
 /// the numeric representation (binary search; all tests are monotone in the
 /// device size, see the scale-invariance property tests).
-fn size_rows<T: fpga_rt_model::Time>(
+fn size_rows<T: Time>(
     ts: &TaskSet<T>,
     lo: u32,
     max: u32,
-) -> Vec<(&'static str, Option<u32>)> {
-    let minimal = |accepts: &dyn Fn(&Fpga) -> bool| -> Option<u32> {
-        let hi_dev = Fpga::new(max).ok()?;
-        if !accepts(&hi_dev) {
-            return None;
+) -> Result<Vec<(&'static str, Option<u32>)>, ArithmeticOverflow> {
+    let minimal = |test: &dyn SchedTest<T>| -> Result<Option<u32>, ArithmeticOverflow> {
+        let accepts = |columns| match Fpga::new(columns) {
+            Ok(device) => test.try_check(ts, &device).map(|rep| rep.accepted()),
+            Err(_) => Ok(false),
+        };
+        if !accepts(max)? {
+            return Ok(None);
         }
         let (mut lo, mut hi) = (lo.max(1), max);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if accepts(&Fpga::new(mid).ok()?) {
+            if accepts(mid)? {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
-        Some(lo)
+        Ok(Some(lo))
     };
-    vec![
-        ("DP", minimal(&|d| DpTest::default().is_schedulable(ts, d))),
-        ("GN1", minimal(&|d| Gn1Test::default().is_schedulable(ts, d))),
-        ("GN2", minimal(&|d| Gn2Test::default().is_schedulable(ts, d))),
-        ("DP∪GN1∪GN2", minimal(&|d| AnyOfTest::paper_suite().is_schedulable(ts, d))),
-    ]
+    Ok(vec![
+        ("DP", minimal(&DpTest::default())?),
+        ("GN1", minimal(&Gn1Test::default())?),
+        ("GN2", minimal(&Gn2Test::default())?),
+        ("DP∪GN1∪GN2", minimal(&AnyOfTest::paper_suite())?),
+    ])
 }
 
 /// `fpga-rt size` — smallest device passing each test, in `f64` or (with
@@ -243,16 +196,11 @@ pub fn size(args: &Args, out: &mut dyn Write) -> CmdResult {
     let lo = ts.amax();
 
     let rows = if args.has("exact") {
-        let ts_x = ts
-            .map_time(|v| {
-                Rat64::approx_f64(v, Rat64::TASK_MAX_DENOMINATOR)
-                    .expect("validated finite task parameters")
-            })
-            .map_err(|e| e.to_string())?;
-        catch_rat64_overflow(move || size_rows(&ts_x, lo, max))?
+        size_rows(&exact_taskset(&ts)?, lo, max)
     } else {
         size_rows(&ts, lo, max)
-    };
+    }
+    .map_err(exact_overflow)?;
 
     for (name, v) in &rows {
         match v {
@@ -290,10 +238,10 @@ pub fn generate(args: &Args, out: &mut dyn Write) -> CmdResult {
 
 /// `fpga-rt tables` — the paper's Tables 1–3 verdict matrix with a
 /// simulation cross-check, and the Table 3 GN2 λ walkthrough (each case is
-/// evaluated in f64 *and* exact arithmetic, hence the overflow guard).
+/// evaluated in f64 *and* exact arithmetic; the paper's short decimals stay
+/// far inside `Rat64` range).
 pub fn tables(out: &mut dyn Write) -> CmdResult {
-    let report = catch_rat64_overflow(fpga_rt_exp::tables::render_report)?;
-    let _ = write!(out, "{report}");
+    let _ = write!(out, "{}", fpga_rt_exp::tables::render_report());
     Ok(ExitCode::Accepted)
 }
 

@@ -1,5 +1,9 @@
 //! Library backing the `fpga-rt` command-line tool (kept as a library so
 //! every subcommand is unit-testable without spawning processes).
+//!
+//! The `--exact` paths run the analysis kernel's `Rat64` instance through
+//! `SchedTest::try_check`: exact overflow is a usage error (exit 2), never a
+//! panic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -22,18 +22,18 @@
 //! λ candidates pre-sorted at pack time, held in `fpga-rt-pool` shard
 //! state) and one [`BatchAnalyzer`] pass produces all four verdicts with
 //! zero per-taskset heap allocation. Any custom evaluator in the list
-//! falls back to the per-sample scalar path (with a per-worker
+//! falls back to the per-sample closure ("scalar") path (with a per-worker
 //! [`ScratchSpace`] so analysis-kind members of a mixed list still ride
-//! the kernel). Both paths produce bit-identical curves — the batch kernel
-//! is a pure re-packing of the scalar tests, checked against
-//! [`analysis_evaluators_scalar`] — so the path never shows up in
-//! artifacts.
+//! the packed kernel). Both paths produce bit-identical curves — the
+//! closure path's `SchedTest::check` reports come from the same analysis
+//! kernel, checked against [`analysis_evaluators_scalar`] — so the path
+//! never shows up in artifacts.
 //!
 //! The result reuses [`SweepResult`], so the text/CSV renderers in
 //! [`crate::output`] and `serde_json` serialization apply unchanged.
 //! `fpga-rt sweep` and `fpga-rt study` wrap this module;
 //! `cargo bench -p fpga-rt-bench --bench sweep_throughput` measures its
-//! scaling and the batch-vs-scalar kernel speedup.
+//! scaling and the batch path's speedup over the closure path.
 //!
 //! ```
 //! use fpga_rt_exp::sweep::{run_pool_sweep, PoolSweepConfig};

@@ -1,6 +1,7 @@
 //! Property tests for the binned generators: every produced taskset lands
 //! in its bin *and* preserves the defining attribute of its figure's
-//! distribution (the fidelity requirement DESIGN.md §3 calls load-bearing).
+//! distribution (the fidelity requirement `docs/THEORY.md`, "Model
+//! definitions", calls load-bearing).
 
 use fpga_rt_gen::{BinnedGenerator, BinningStrategy, FigureWorkload, UtilizationBins};
 use proptest::prelude::*;

@@ -12,9 +12,11 @@
 //!
 //! All intermediate products are computed in `i128` and renormalized, so any
 //! value whose reduced form fits in `i64/i64` is handled without loss.
-//! Overflow of the *reduced* form is a programming error for this domain
-//! (task parameters are small decimals) and panics with a descriptive
-//! message; `checked_*` variants are provided for fallible callers.
+//! The [`Time::checked_add`] family returns `None` when the *reduced* form
+//! does not fit; the analysis kernel computes with it, so exact-mode
+//! overflow reaches its callers as a value. The `+ − × ÷` operators panic
+//! with a descriptive message instead, for code where overflow is a
+//! programming error.
 
 use crate::error::ModelError;
 use crate::time::Time;
@@ -126,35 +128,6 @@ impl Rat64 {
         Ok(Rat64 { num, den })
     }
 
-    /// Checked addition; `None` when the reduced result overflows `i64/i64`.
-    pub fn checked_add(self, rhs: Self) -> Option<Self> {
-        let num = self.num as i128 * rhs.den as i128 + rhs.num as i128 * self.den as i128;
-        let den = self.den as i128 * rhs.den as i128;
-        Self::normalize(num, den, "add").ok()
-    }
-
-    /// Checked subtraction; see [`Rat64::checked_add`].
-    pub fn checked_sub(self, rhs: Self) -> Option<Self> {
-        self.checked_add(Rat64 { num: -rhs.num, den: rhs.den })
-    }
-
-    /// Checked multiplication; see [`Rat64::checked_add`].
-    pub fn checked_mul(self, rhs: Self) -> Option<Self> {
-        let num = self.num as i128 * rhs.num as i128;
-        let den = self.den as i128 * rhs.den as i128;
-        Self::normalize(num, den, "mul").ok()
-    }
-
-    /// Checked division; `None` on division by zero or overflow.
-    pub fn checked_div(self, rhs: Self) -> Option<Self> {
-        if rhs.num == 0 {
-            return None;
-        }
-        let num = self.num as i128 * rhs.den as i128;
-        let den = self.den as i128 * rhs.num as i128;
-        Self::normalize(num, den, "div").ok()
-    }
-
     /// The multiplicative inverse. Panics on zero.
     pub fn recip(self) -> Self {
         assert!(self.num != 0, "Rat64::recip of zero");
@@ -255,21 +228,6 @@ impl Ord for Rat64 {
     }
 }
 
-impl Rat64 {
-    /// `true` when a caught panic payload is a `Rat64` arithmetic-overflow
-    /// panic (the operator impls below panic with a `"Rat64 overflow"`
-    /// message).
-    ///
-    /// Callers that map overflow to a clean degradation — the CLI's exact
-    /// mode (exit code 2) and the admission service's exact tier (f64
-    /// fallback) — share this predicate so the panic-message contract
-    /// lives in exactly one place.
-    pub fn is_overflow_panic(payload: &(dyn std::any::Any + Send)) -> bool {
-        payload.downcast_ref::<String>().is_some_and(|s| s.contains("Rat64 overflow"))
-            || payload.downcast_ref::<&str>().is_some_and(|s| s.contains("Rat64 overflow"))
-    }
-}
-
 macro_rules! panicking_op {
     ($trait:ident, $method:ident, $checked:ident, $sym:literal) => {
         impl $trait for Rat64 {
@@ -324,6 +282,12 @@ impl From<u32> for Rat64 {
     }
 }
 
+impl Default for Rat64 {
+    fn default() -> Self {
+        Rat64::ZERO
+    }
+}
+
 impl Time for Rat64 {
     const ZERO: Self = Rat64::ZERO;
     const ONE: Self = Rat64::ONE;
@@ -357,6 +321,33 @@ impl Time for Rat64 {
     fn is_valid(self) -> bool {
         self.den > 0
     }
+
+    /// `None` when the reduced result overflows `i64/i64`.
+    fn checked_add(self, rhs: Self) -> Option<Self> {
+        let num = self.num as i128 * rhs.den as i128 + rhs.num as i128 * self.den as i128;
+        let den = self.den as i128 * rhs.den as i128;
+        Self::normalize(num, den, "add").ok()
+    }
+
+    fn checked_sub(self, rhs: Self) -> Option<Self> {
+        self.checked_add(Rat64 { num: -rhs.num, den: rhs.den })
+    }
+
+    fn checked_mul(self, rhs: Self) -> Option<Self> {
+        let num = self.num as i128 * rhs.num as i128;
+        let den = self.den as i128 * rhs.den as i128;
+        Self::normalize(num, den, "mul").ok()
+    }
+
+    /// `None` on division by zero or overflow.
+    fn checked_div(self, rhs: Self) -> Option<Self> {
+        if rhs.num == 0 {
+            return None;
+        }
+        let num = self.num as i128 * rhs.den as i128;
+        let den = self.den as i128 * rhs.num as i128;
+        Self::normalize(num, den, "div").ok()
+    }
 }
 
 #[cfg(test)]
@@ -374,18 +365,6 @@ mod tests {
         assert_eq!(r(2, -4), r(-1, 2));
         assert_eq!(r(0, -7), Rat64::ZERO);
         assert_eq!(r(0, 5).denom(), 1);
-    }
-
-    #[test]
-    fn overflow_panic_predicate_matches_operator_panics() {
-        let payload = std::panic::catch_unwind(|| {
-            let big = r(i64::MAX, 1);
-            let _ = big * big;
-        })
-        .unwrap_err();
-        assert!(Rat64::is_overflow_panic(payload.as_ref()));
-        let other = std::panic::catch_unwind(|| panic!("something else")).unwrap_err();
-        assert!(!Rat64::is_overflow_panic(other.as_ref()));
     }
 
     #[test]
@@ -437,6 +416,7 @@ mod tests {
     fn overflow_is_detected() {
         let big = Rat64::from_int(i64::MAX);
         assert!(big.checked_mul(big).is_none());
+        assert_eq!(r(1, 2).checked_add(r(1, 3)), Some(r(5, 6)));
         assert!(big.checked_add(Rat64::ONE).is_none());
         // But i128 intermediates rescue reducible cases.
         let half_of_big = r(i64::MAX, 2);

@@ -25,7 +25,8 @@ use core::ops::{Add, Div, Mul, Neg, Sub};
 /// Implementations must form an ordered field on the values actually used
 /// (validated positive task parameters and quantities derived from them):
 ///
-/// * `ZERO` and `ONE` are additive and multiplicative identities.
+/// * `ZERO` and `ONE` are additive and multiplicative identities, and
+///   `Default` is `ZERO`.
 /// * `PartialOrd` is a total order on all values produced by the model
 ///   (the `f64` instance never produces NaN from validated inputs).
 /// * [`Time::floor_i64`] returns the largest integer ≤ the value.
@@ -43,6 +44,7 @@ pub trait Time:
     + Mul<Output = Self>
     + Div<Output = Self>
     + Neg<Output = Self>
+    + Default
     + Send
     + Sync
     + 'static
@@ -73,6 +75,31 @@ pub trait Time:
     /// `true` when the value is finite and well-formed (always true for
     /// exact types; excludes NaN/∞ for floating point).
     fn is_valid(self) -> bool;
+
+    /// `self + rhs`, or `None` when the type cannot represent it (never for
+    /// `f64`), so that the analysis kernel returns exact overflow as a value.
+    #[inline]
+    fn checked_add(self, rhs: Self) -> Option<Self> {
+        Some(self + rhs)
+    }
+
+    /// `self − rhs`; see [`Time::checked_add`].
+    #[inline]
+    fn checked_sub(self, rhs: Self) -> Option<Self> {
+        Some(self - rhs)
+    }
+
+    /// `self × rhs`; see [`Time::checked_add`].
+    #[inline]
+    fn checked_mul(self, rhs: Self) -> Option<Self> {
+        Some(self * rhs)
+    }
+
+    /// `self ÷ rhs`; see [`Time::checked_add`].
+    #[inline]
+    fn checked_div(self, rhs: Self) -> Option<Self> {
+        Some(self / rhs)
+    }
 
     /// The smaller of two values.
     #[inline]
@@ -185,6 +212,15 @@ mod tests {
         assert_eq!(1.0f64.max_zero(), 1.0);
         assert!(Time::is_positive_t(0.5f64));
         assert!(!Time::is_positive_t(0.0f64));
+    }
+
+    #[test]
+    fn f64_checked_ops_never_fail() {
+        assert_eq!(Time::checked_add(1.5f64, 2.0), Some(3.5));
+        assert_eq!(Time::checked_sub(1.5f64, 2.0), Some(-0.5));
+        assert_eq!(Time::checked_mul(1.5f64, 2.0), Some(3.0));
+        assert_eq!(Time::checked_div(1.5f64, 2.0), Some(0.75));
+        assert_eq!(Time::checked_mul(f64::MAX, 2.0), Some(f64::INFINITY));
     }
 
     #[test]

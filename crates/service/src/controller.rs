@@ -12,13 +12,16 @@
 //!    re-runs in exact [`Rat64`] arithmetic so verdicts like the paper's
 //!    Table 1 equality are *proved* rather than guessed from rounding.
 //!
-//! GN1 and GN2 run on the batch kernel ([`fpga_rt_analysis::batch`]): a
-//! slow-path decision packs `Γ ∪ {candidate}` once, in canonical order,
-//! into a [`ScratchSpace`] the controller owns, and both tiers read their
-//! verdict and margin from that one packing — bit-identical to the scalar
-//! tests on the same snapshot. The scalar [`SchedTest`]s build a
-//! [`TestReport`] only where its rows are read: for `margins` requests and
-//! in the exact tier.
+//! GN1, GN2 and the exact tier run on the analysis kernel
+//! ([`fpga_rt_analysis::batch`]), the one implementation of the theorems
+//! that `DpTest`/`Gn1Test`/`Gn2Test::check` also call: a slow-path
+//! decision packs `Γ ∪ {candidate}` once, in canonical order and straight
+//! from the live set, into a [`ScratchSpace`] the controller owns, and both
+//! f64 tiers read their verdict and margin from that one packing. The
+//! kernel writes per-task rows only for `margins` requests. The exact tier
+//! converts the same sequence to rationals, packs it into the kernel's
+//! `Rat64` instance, and gets an overflow back as a value: the `f64`
+//! verdict then stands, with a note.
 //!
 //! Admissions and queries share one decision path: cache lookup, the
 //! cascade, then memoization. Accepting commits the candidate to the live
@@ -35,11 +38,11 @@
 use crate::cache::{stages, CacheOp, CachedVerdict, TasksetFingerprint, VerdictCache};
 use crate::protocol::{counters, PerTaskMargin, QueryStats};
 use fpga_rt_analysis::{
-    AnalysisSeries, BatchAnalyzer, DpTest, Gn1Test, Gn2Test, SchedTest, ScratchSpace, TestReport,
+    AnalysisSeries, BatchAnalyzer, DpConfig, DpTest, Gn1Config, Gn2Config, ScratchSpace, TaskCheck,
+    Theorem,
 };
-use fpga_rt_model::{Fpga, LiveTaskSet, Rat64, Task, TaskHandle, TaskSet};
+use fpga_rt_model::{Fpga, LiveTaskSet, Rat64, Task, TaskHandle};
 use fpga_rt_obs::{Obs, SpanTimer};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Which cascade tier settled a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -467,55 +470,37 @@ impl AdmissionController {
         verdict
     }
 
-    /// The evaluated set in canonical order: `Γ ∪ {candidate}` with the
-    /// candidate at its canonical position, or `Γ` for a query. `None` for
-    /// the query of an empty set.
-    fn snapshot(&self, candidate: Option<&Task<f64>>) -> Option<TaskSet<f64>> {
-        match candidate {
-            Some(task) => self.live.snapshot_with(task),
-            None => self.live.snapshot(),
-        }
-        .ok()
-    }
-
-    /// Pack the evaluated set into the scratch space, in the order of
-    /// [`AdmissionController::snapshot`] but without building it.
+    /// Pack the evaluated set into the scratch space.
     fn pack(&mut self, candidate: Option<&Task<f64>>) {
-        let tasks = self.live.iter().map(|(_, t)| t);
-        match candidate {
-            Some(task) => {
-                let pos = self.live.canonical_position(task);
-                let tail = self.live.iter().skip(pos).map(|(_, t)| t);
-                self.scratch.pack(tasks.take(pos).chain(std::iter::once(task)).chain(tail));
-            }
-            None => self.scratch.pack(tasks),
-        }
+        self.scratch.pack(evaluated(&self.live, candidate));
     }
 
-    /// Margin rows of the accepting tier's scalar report over the evaluated
-    /// set. `None` for the empty set, which has no rows.
-    fn tier_rows(&self, tier: Tier, candidate: Option<&Task<f64>>) -> Option<Vec<(usize, f64)>> {
-        let snap = self.snapshot(candidate)?;
-        let report = match tier {
-            Tier::IncrementalDp => DpTest::default().check(&snap, &self.device),
-            Tier::Gn1 => Gn1Test::default().check(&snap, &self.device),
-            _ => Gn2Test::default().check(&snap, &self.device),
+    /// Margin rows of the accepting tier over the (non-empty) evaluated
+    /// set, from the kernel.
+    fn tier_rows(&mut self, tier: Tier, candidate: Option<&Task<f64>>) -> Vec<(usize, f64)> {
+        let theorem = match tier {
+            Tier::IncrementalDp => Theorem::Dp(DpConfig::default()),
+            Tier::Gn1 => Theorem::Gn1(Gn1Config::default()),
+            _ => Theorem::Gn2(Gn2Config::default()),
         };
-        Some(report_rows(&report))
+        self.pack(candidate);
+        let mut rows = Vec::new();
+        BatchAnalyzer::new()
+            .evaluate(theorem, &self.device, &mut self.scratch, Some(&mut rows))
+            .expect("f64 arithmetic cannot overflow");
+        margin_rows(&rows)
     }
 
     /// DP → GN1 → GN2 → exact on the evaluated set.
     ///
     /// DP reads `Γ ∪ {candidate}` straight from the live set. When it does
     /// not accept clearly, the set is packed once into the scratch space
-    /// and the batch kernel runs GN1 and then, only if GN1 rejects, GN2 on
-    /// that packing; its verdicts and margins are bit-identical to the
-    /// scalar tests on [`AdmissionController::snapshot`]. When any
-    /// *computed* margin is knife-edge, the exact tier settles the verdict,
-    /// and when exact arithmetic cannot represent the set, the `f64`
-    /// verdict stands with a note. The snapshot and the scalar reports are
-    /// built only for the exact tier and for the rows of a `margins`
-    /// request.
+    /// and the kernel runs GN1 and then, only if GN1 rejects, GN2 on that
+    /// packing; its verdicts and margins are those of
+    /// `Gn1Test`/`Gn2Test::check` on the same set. When any *computed*
+    /// margin is knife-edge, the exact tier settles the verdict, and when
+    /// exact arithmetic cannot represent the set, the `f64` verdict stands
+    /// with a note. Rows are written only for a `margins` request.
     fn cascade(&mut self, candidate: Option<&Task<f64>>, want_margins: bool) -> CachedVerdict {
         let dp_span = self.obs.span();
         let dp = DpTest::default().live_slack(&self.live, candidate, &self.device);
@@ -533,9 +518,9 @@ impl AdmissionController {
                 margin: finite(dp.margin),
                 reason: None,
                 stages: stages::DP,
-                rows: want_margins
-                    .then(|| self.tier_rows(Tier::IncrementalDp, candidate))
-                    .flatten(),
+                // The empty set has no rows.
+                rows: (want_margins && !empty)
+                    .then(|| self.tier_rows(Tier::IncrementalDp, candidate)),
             };
         }
 
@@ -582,21 +567,11 @@ impl AdmissionController {
         // Knife-edge anywhere: settle the verdict in exact arithmetic.
         if knife {
             verdict.stages |= stages::EXACT;
-            let snap = self.snapshot(candidate).expect("the evaluated set is non-empty");
             let exact_span = self.obs.span();
-            let exact_result = exact_cascade(&snap, &self.device);
+            let exact = self.exact_cascade(candidate, want_margins, verdict.stages);
             self.obs.record_ns("admission/stage/exact_ns", exact_span.elapsed_ns());
-            match exact_result {
-                Ok(exact) => {
-                    return CachedVerdict {
-                        accepted: exact.accepted,
-                        tier: Tier::Exact,
-                        margin: finite(exact.margin),
-                        reason: Some(exact.reason),
-                        stages: verdict.stages,
-                        rows: want_margins.then(|| report_rows(&exact.report)),
-                    };
-                }
+            match exact {
+                Ok(exact) => return exact,
                 // Exact arithmetic cannot represent this set: the f64
                 // verdict stands, noting the degradation.
                 Err(overflow) => {
@@ -609,10 +584,78 @@ impl AdmissionController {
             }
         }
         if let Some((tier, _)) = decided.filter(|_| want_margins) {
-            verdict.rows = self.tier_rows(tier, candidate);
+            verdict.rows = Some(self.tier_rows(tier, candidate));
         }
         verdict
     }
+
+    /// The `exact` tier's verdict: the DP → GN1 → GN2 cascade on the
+    /// evaluated set in exact [`Rat64`] arithmetic. Each parameter becomes
+    /// its best rational with denominator ≤ [`Rat64::TASK_MAX_DENOMINATOR`],
+    /// and the kernel's `Rat64` instance evaluates the packed set.
+    ///
+    /// `Err` explains why exact arithmetic is unavailable for this set:
+    /// a parameter has no such rational, or an intermediate value
+    /// overflows the normalized i64/i64 representation.
+    fn exact_cascade(
+        &self,
+        candidate: Option<&Task<f64>>,
+        want_margins: bool,
+        stages: u8,
+    ) -> Result<CachedVerdict, String> {
+        let rational = |v| Rat64::approx_f64(v, Rat64::TASK_MAX_DENOMINATOR);
+        let exact = |t: &Task<f64>| {
+            Task::new(rational(t.exec())?, rational(t.deadline())?, rational(t.period())?, t.area())
+        };
+        let tasks = evaluated(&self.live, candidate)
+            .map(exact)
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| format!("exact conversion failed: {e}"))?;
+        let mut scratch = ScratchSpace::default();
+        scratch.try_pack(&tasks).map_err(|overflow| overflow.to_string())?;
+        let tiers = [
+            ("DP", Theorem::Dp(DpConfig::default())),
+            ("GN1", Theorem::Gn1(Gn1Config::default())),
+            ("GN2", Theorem::Gn2(Gn2Config::default())),
+        ];
+        let mut rows = Vec::new();
+        let mut decided = None;
+        for (name, theorem) in tiers {
+            rows.clear();
+            let verdict = BatchAnalyzer::new()
+                .evaluate(theorem, &self.device, &mut scratch, want_margins.then_some(&mut rows))
+                .map_err(|overflow| overflow.to_string())?;
+            decided = Some((name, verdict));
+            if verdict.accepted {
+                break;
+            }
+        }
+        let (name, verdict) = decided.expect("the exact cascade runs at least DP");
+        let reason = if verdict.accepted {
+            format!("exact re-check: accepted by {name}")
+        } else {
+            "exact re-check: rejected by DP, GN1 and GN2".to_string()
+        };
+        Ok(CachedVerdict {
+            accepted: verdict.accepted,
+            tier: Tier::Exact,
+            margin: finite(verdict.report_margin),
+            reason: Some(reason),
+            stages,
+            rows: want_margins.then(|| margin_rows(&rows)),
+        })
+    }
+}
+
+/// The evaluated set in canonical order: `Γ ∪ {candidate}` with the
+/// candidate at its canonical position, or `Γ` for a query.
+fn evaluated<'a>(
+    live: &'a LiveTaskSet<f64>,
+    candidate: Option<&'a Task<f64>>,
+) -> impl Iterator<Item = &'a Task<f64>> {
+    let pos = candidate.map_or(live.len(), |task| live.canonical_position(task));
+    let head = live.iter().take(pos).map(|(_, t)| t);
+    head.chain(candidate).chain(live.iter().skip(pos).map(|(_, t)| t))
 }
 
 /// `Some(m)` for finite margins, `None` otherwise (never serialize NaN/∞).
@@ -621,70 +664,8 @@ fn finite(m: f64) -> Option<f64> {
 }
 
 /// Cacheable `(canonical index, rhs − lhs)` rows of a report.
-fn report_rows(report: &TestReport) -> Vec<(usize, f64)> {
-    report.checks.iter().map(|c| (c.task.0, c.rhs - c.lhs)).collect()
-}
-
-/// Result of the exact-arithmetic re-check.
-#[derive(Debug)]
-struct ExactOutcome {
-    accepted: bool,
-    margin: f64,
-    reason: String,
-    report: TestReport,
-}
-
-/// Convert an `f64` snapshot to exact rationals, propagating conversion
-/// failure (values whose integer part exceeds `i64` range) as a clean error
-/// instead of panicking.
-fn to_exact(snapshot: &TaskSet<f64>) -> Result<TaskSet<Rat64>, fpga_rt_model::ModelError> {
-    let exact = |v| Rat64::approx_f64(v, Rat64::TASK_MAX_DENOMINATOR);
-    let tasks = snapshot
-        .tasks()
-        .iter()
-        .map(|t| Task::new(exact(t.exec())?, exact(t.deadline())?, exact(t.period())?, t.area()))
-        .collect::<Result<Vec<_>, _>>()?;
-    TaskSet::new(tasks)
-}
-
-/// Re-run the DP → GN1 → GN2 cascade in exact [`Rat64`] arithmetic.
-///
-/// `Err` carries an explanation when exact arithmetic is unavailable for
-/// this taskset — either the `f64 → Rat64` conversion fails outright or an
-/// operator overflows the normalized i64/i64 representation (the same
-/// failure mode the CLI's `--exact` flag maps to exit code 2).
-fn exact_cascade(snapshot: &TaskSet<f64>, device: &Fpga) -> Result<ExactOutcome, String> {
-    let exact = to_exact(snapshot).map_err(|e| format!("exact conversion failed: {e}"))?;
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        let dp = DpTest::default().check(&exact, device);
-        if dp.accepted() {
-            return ("DP", dp);
-        }
-        let gn1 = Gn1Test::default().check(&exact, device);
-        if gn1.accepted() {
-            return ("GN1", gn1);
-        }
-        ("GN2", Gn2Test::default().check(&exact, device))
-    }));
-    match caught {
-        Ok((name, report)) => {
-            let accepted = report.accepted();
-            let margin = report.margin();
-            let reason = if accepted {
-                format!("exact re-check: accepted by {name}")
-            } else {
-                "exact re-check: rejected by DP, GN1 and GN2".to_string()
-            };
-            Ok(ExactOutcome { accepted, margin, reason, report })
-        }
-        Err(payload) => {
-            if Rat64::is_overflow_panic(payload.as_ref()) {
-                Err("exact arithmetic overflowed i64 for this taskset".to_string())
-            } else {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    }
+fn margin_rows(rows: &[TaskCheck]) -> Vec<(usize, f64)> {
+    rows.iter().map(|c| (c.task.0, c.rhs - c.lhs)).collect()
 }
 
 #[cfg(test)]
@@ -790,9 +771,27 @@ mod tests {
     /// a panic (defense in depth behind the magnitude precondition).
     #[test]
     fn exact_cascade_conversion_failure_is_an_error() {
-        let snap: TaskSet<f64> = TaskSet::try_from_tuples(&[(1e19, 2e19, 2e19, 1)]).unwrap();
-        let err = exact_cascade(&snap, &Fpga::new(10).unwrap()).unwrap_err();
+        let err = controller().exact_cascade(Some(&t(1e19, 2e19, 2e19, 1)), false, 0).unwrap_err();
         assert!(err.contains("conversion failed"), "{err}");
+    }
+
+    /// Full-precision parameters whose rationals have ~10⁶ denominators
+    /// overflow i64 in the exact tier: the kernel returns the overflow as
+    /// an error, which the cascade turns into the f64-fallback note.
+    #[test]
+    fn exact_cascade_overflow_is_an_error() {
+        let mut ctl = AdmissionController::new(Fpga::new(20).unwrap(), ControllerConfig::default());
+        let tasks = [
+            t(1.000_001_000_017_000_3, 6.000_002_000_094_004, 6.000_002_000_094_004, 3),
+            t(1.000_002_000_042_001, 7.000_003_000_141_007, 7.000_003_000_141_007, 4),
+            t(1.000_003_000_117_004_6, 8.000_004_000_188_01, 8.000_004_000_188_01, 5),
+        ];
+        for task in tasks {
+            assert!(ctl.admit(task, false).0.accepted);
+        }
+        let last = t(1.000_004_000_164_006_7, 9.000_005_000_235_01, 9.000_005_000_235_01, 6);
+        let err = ctl.exact_cascade(Some(&last), true, 0).unwrap_err();
+        assert_eq!(err, "exact arithmetic overflowed i64 for this taskset");
     }
 
     #[test]

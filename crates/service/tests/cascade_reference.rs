@@ -4,16 +4,17 @@
 //! admit/release/query streams. In lockstep, every decision is recomputed
 //! by a naive reference written here: it snapshots the evaluated set
 //! (`live().snapshot_with(candidate)`, or `live().snapshot()` for a
-//! query), runs the scalar `DpTest`, `Gn1Test` and `Gn2Test::check` on it
-//! from scratch, and applies the controller's tier order, knife-edge rule
-//! and margin fold. The controller evaluates GN1/GN2 on the batch kernel
-//! and DP from the live set, so this pins both to the scalar tests decision
-//! by decision: tier, verdict and margin bits, and the per-task rows of
-//! every `margins` request. A decision the reference finds knife-edge must come
-//! back `tier: exact`, unless exact arithmetic overflows on the set; then
-//! the controller's documented fallback — the `f64` verdict, noted in the
-//! reason — must match the reference's. The exact tier itself is not
-//! recomputed here.
+//! query), runs the analysis crate's scalar reference of DP, GN1 and GN2
+//! (`crates/analysis/tests/reference/`, straight-line arithmetic kept
+//! apart from the kernel) on it from scratch, and applies the controller's
+//! tier order, knife-edge rule and margin fold. The controller evaluates
+//! GN1/GN2 on the analysis kernel and DP from the live set, so this pins
+//! both to independent arithmetic decision by decision: tier, verdict and
+//! margin bits, and the per-task rows of every `margins` request. A
+//! decision the reference finds knife-edge must come back `tier: exact`,
+//! unless exact arithmetic overflows on the set; then the controller's
+//! documented fallback — the `f64` verdict, noted in the reason — must
+//! match the reference's. The exact tier itself is not recomputed here.
 //!
 //! Two stream kinds: figure-generator tasks on 10 and 100 columns, and
 //! loadgen's `poisson` stream on 100 columns with a share of admits
@@ -21,8 +22,10 @@
 //! live set to dozens of tasks.
 
 mod poisson_stream;
+#[path = "../../analysis/tests/reference/mod.rs"]
+mod reference;
 
-use fpga_rt_analysis::{DpTest, Gn1Test, Gn2Test, SchedTest, TestReport};
+use fpga_rt_analysis::{SchedTest, TestReport};
 use fpga_rt_gen::FigureWorkload;
 use fpga_rt_model::{Fpga, Task, TaskHandle, TaskSet};
 use fpga_rt_service::{AdmissionController, ControllerConfig, Decision, Tier};
@@ -30,6 +33,7 @@ use poisson_stream::{poisson_stream, PoissonOp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use reference::{RefDp, RefGn1, RefGn2};
 use std::collections::VecDeque;
 
 /// What the reference expects of one decision.
@@ -74,7 +78,7 @@ fn dp_slack(snap: &TaskSet<f64>, device: &Fpga) -> (f64, f64) {
 /// The controller's cascade, recomputed from scratch on `snap`.
 fn reference(snap: &TaskSet<f64>, device: &Fpga, want_margins: bool) -> Expected {
     let (dp_margin, us) = dp_slack(snap, device);
-    let dp = DpTest::default().check(snap, device);
+    let dp = RefDp::default().check(snap, device);
     assert_eq!(dp.accepted(), dp_margin >= 0.0, "DP verdict and slack disagree on {snap:?}");
     if dp.accepted() && !knife_edge(dp_margin, us) {
         return Expected {
@@ -87,13 +91,13 @@ fn reference(snap: &TaskSet<f64>, device: &Fpga, want_margins: bool) -> Expected
     }
     let mut knife = knife_edge(dp_margin, us);
     let mut best = dp_margin;
-    let gn1 = Gn1Test::default().check(snap, device);
+    let gn1 = RefGn1::default().check(snap, device);
     knife |= knife_edge(gn1.margin(), us);
     best = best.max(gn1.margin());
     let decided = if gn1.accepted() {
         Some((Tier::Gn1, gn1))
     } else {
-        let gn2 = Gn2Test::default().check(snap, device);
+        let gn2 = RefGn2::default().check(snap, device);
         knife |= knife_edge(gn2.margin(), us);
         best = best.max(gn2.margin());
         gn2.accepted().then_some((Tier::Gn2, gn2))
