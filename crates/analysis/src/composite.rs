@@ -1,11 +1,8 @@
-//! Test combinators.
+//! The composite test.
 //!
 //! The paper closes Section 6 with: *"In practice, different schedulability
 //! bounds should be applied together, i.e., determine that a taskset is
-//! unschedulable only if all tests fail."* [`AnyOfTest`] is that composite;
-//! [`AllOfTest`] is the dual (useful for asserting that a taskset sits in
-//! the intersection of acceptance regions, e.g. when calibrating
-//! discriminating examples like Tables 1–3).
+//! unschedulable only if all tests fail."* [`AnyOfTest`] is that composite.
 
 use crate::batch::ArithmeticOverflow;
 use crate::dp::DpTest;
@@ -82,49 +79,6 @@ impl<T: Time> SchedTest<T> for AnyOfTest<T> {
     }
 }
 
-/// Accepts when **all** inner tests accept (intersection of acceptance
-/// regions).
-pub struct AllOfTest<T: Time> {
-    name: String,
-    tests: Vec<Box<dyn SchedTest<T> + Send + Sync>>,
-}
-
-impl<T: Time> AllOfTest<T> {
-    /// Compose arbitrary tests under a display name.
-    pub fn new(name: impl Into<String>, tests: Vec<Box<dyn SchedTest<T> + Send + Sync>>) -> Self {
-        AllOfTest { name: name.into(), tests }
-    }
-}
-
-impl<T: Time> SchedTest<T> for AllOfTest<T> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn try_check(
-        &self,
-        taskset: &TaskSet<T>,
-        device: &Fpga,
-    ) -> Result<TestReport, ArithmeticOverflow> {
-        let mut checks = Vec::new();
-        for test in &self.tests {
-            let rep = test.try_check(taskset, device)?;
-            if !rep.accepted() {
-                let failing = rep.failing_task();
-                let inner = rep.test.clone();
-                checks.extend(rep.checks);
-                return Ok(TestReport {
-                    test: self.name.clone(),
-                    verdict: Verdict::rejected(failing, format!("component {inner} rejected")),
-                    checks,
-                });
-            }
-            checks.extend(rep.checks);
-        }
-        Ok(TestReport { test: self.name.clone(), verdict: Verdict::Accepted, checks })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,20 +114,6 @@ mod tests {
             TaskSet::try_from_tuples(&[(4.9, 5.0, 5.0, 9), (4.9, 5.0, 5.0, 9), (4.9, 5.0, 5.0, 9)])
                 .unwrap();
         assert!(!AnyOfTest::paper_suite().is_schedulable(&ts, &fpga10()));
-    }
-
-    #[test]
-    fn all_of_requires_every_component() {
-        let all: AllOfTest<f64> = AllOfTest::new(
-            "DP∩GN1",
-            vec![Box::new(DpTest::default()), Box::new(Gn1Test::default())],
-        );
-        // Table 1 is DP-only, so the intersection rejects it...
-        assert!(!all.is_schedulable(&table1(), &fpga10()));
-        // ...and a genuinely light taskset passes everything.
-        let light: TaskSet<f64> =
-            TaskSet::try_from_tuples(&[(0.5, 10.0, 10.0, 2), (0.5, 10.0, 10.0, 2)]).unwrap();
-        assert!(all.is_schedulable(&light, &fpga10()));
     }
 
     #[test]

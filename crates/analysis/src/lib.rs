@@ -76,7 +76,7 @@ pub use batch::{
     AnalysisSeries, ArithmeticOverflow, BatchAnalyzer, BatchVerdict, BatchVerdicts, ScratchSpace,
     TaskSetBatch, Theorem,
 };
-pub use composite::{AllOfTest, AnyOfTest};
+pub use composite::AnyOfTest;
 pub use dp::{DpAreaBound, DpConfig, DpSlack, DpTest};
 pub use gn1::{Gn1BetaDenominator, Gn1Config, Gn1Test};
 pub use gn2::{Gn2Attempt, Gn2Case2, Gn2Config, Gn2LambdaSearch, Gn2Test};

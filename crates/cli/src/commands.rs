@@ -6,7 +6,7 @@ use crate::args::{
     ArtifactFormat, DEFAULT_SEED,
 };
 use crate::io::{device_from, taskset_from};
-use crate::ExitCode;
+use crate::{accept_only_known_flags, ExitCode};
 use fpga_rt_analysis::{
     AnyOfTest, ArithmeticOverflow, DpTest, Gn1Test, Gn2Test, NecessaryTest, SchedTest, TestReport,
 };
@@ -55,6 +55,7 @@ fn report_line(out: &mut dyn Write, rep: &TestReport, verbose: bool) {
 
 /// `fpga-rt check` — run schedulability tests on a taskset file.
 pub fn check(args: &Args, out: &mut dyn Write) -> CmdResult {
+    accept_only_known_flags("check", args)?;
     let ts = taskset_from(args)?;
     let dev = device_from(args)?;
     let which = args.flags.get("test").map(String::as_str).unwrap_or("any");
@@ -91,6 +92,7 @@ fn run_tests<T: Time>(which: &str, ts: &TaskSet<T>, dev: &Fpga) -> Result<Vec<Te
 
 /// `fpga-rt simulate` — run the discrete-event simulator.
 pub fn simulate(args: &Args, out: &mut dyn Write) -> CmdResult {
+    accept_only_known_flags("simulate", args)?;
     let ts = taskset_from(args)?;
     let dev = device_from(args)?;
 
@@ -190,6 +192,7 @@ fn size_rows<T: Time>(
 /// `fpga-rt size` — smallest device passing each test, in `f64` or (with
 /// `--exact`) exact rational arithmetic.
 pub fn size(args: &Args, out: &mut dyn Write) -> CmdResult {
+    accept_only_known_flags("size", args)?;
     let ts = taskset_from(args)?;
     let max = positive_count(args, "max")?.unwrap_or(1000);
     let max = u32::try_from(max).map_err(|_| format!("--max {max} is too large"))?;
@@ -220,6 +223,7 @@ pub fn size(args: &Args, out: &mut dyn Write) -> CmdResult {
 pub fn generate(args: &Args, out: &mut dyn Write) -> CmdResult {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    accept_only_known_flags("generate", args)?;
     let seed = seed(args, 42)?;
     let spec = match args.flags.get("figure") {
         Some(id) => FigureWorkload::by_id(id).ok_or_else(|| format!("unknown figure {id:?}"))?.spec,
@@ -240,7 +244,8 @@ pub fn generate(args: &Args, out: &mut dyn Write) -> CmdResult {
 /// simulation cross-check, and the Table 3 GN2 λ walkthrough (each case is
 /// evaluated in f64 *and* exact arithmetic; the paper's short decimals stay
 /// far inside `Rat64` range).
-pub fn tables(out: &mut dyn Write) -> CmdResult {
+pub fn tables(args: &Args, out: &mut dyn Write) -> CmdResult {
+    accept_only_known_flags("tables", args)?;
     let _ = write!(out, "{}", fpga_rt_exp::tables::render_report());
     Ok(ExitCode::Accepted)
 }
@@ -250,9 +255,10 @@ pub fn tables(out: &mut dyn Write) -> CmdResult {
 /// for one of the paper's figure workloads, at any population size.
 ///
 /// Stdout (the aligned text table) and the `--out` file are byte-identical
-/// for every `--workers` value at a fixed seed — CI diffs a 1-worker run
-/// against a 4-worker run to enforce this.
+/// for every `--workers` value at a fixed seed — CI diffs 1-worker and
+/// 4-worker runs against the goldens under `crates/cli/testdata/sweep/`.
 pub fn sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
+    accept_only_known_flags("sweep", args)?;
     let figure = args.flags.get("figure").map(String::as_str).unwrap_or("fig3a");
     let workload = FigureWorkload::by_id(figure)
         .ok_or_else(|| format!("unknown figure {figure:?} (fig3a|fig3b|fig4a|fig4b)"))?;
@@ -321,15 +327,17 @@ pub fn sweep(args: &Args, out: &mut dyn Write) -> CmdResult {
 /// traces for any violation.
 ///
 /// Stdout and the `--out` artifact are byte-identical for every
-/// `--workers` value at a fixed seed — CI diffs a 1-worker run against a
-/// 4-worker run and additionally gates on zero violations over ≥10 000
-/// tasksets across all four figures. Exit code: 0 when every verdict
+/// `--workers` value at a fixed seed — CI diffs 1-worker and 4-worker runs
+/// against the goldens under `crates/cli/testdata/conform/` and
+/// additionally gates on zero violations over ≥10 000 tasksets across all
+/// four figures. Exit code: 0 when every verdict
 /// conforms, 1 on any soundness violation.
 pub fn conform(args: &Args, out: &mut dyn Write) -> CmdResult {
     use fpga_rt_conform::{
         paper_conform_evaluators, render_csv_multi, render_text, run_conform, run_twod_bridge,
         ConformConfig, ConformReport, TwodBridgeConfig,
     };
+    accept_only_known_flags("conform", args)?;
 
     let bins = parsed_flag(args, "bins", 20usize)?;
     if bins == 0 {
@@ -467,15 +475,13 @@ pub fn conform(args: &Args, out: &mut dyn Write) -> CmdResult {
     Ok(if violations == 0 { ExitCode::Accepted } else { ExitCode::Rejected })
 }
 
-/// The flags `fpga-rt study` takes; any other flag is a usage error.
-const STUDY_FLAGS: [&str; 5] = ["figure", "per-bin", "seed", "workers", "sim-horizon"];
-
 /// `fpga-rt study <name>` — one of the seven studies of
 /// [`fpga_rt_exp::study`] at its default figure and population unless
 /// `--figure` / `--per-bin` say otherwise. Stdout is byte-identical for
 /// every `--workers` value at a fixed seed; CI diffs it against the
 /// committed goldens under `crates/cli/testdata/study/`.
 pub fn study(args: &Args, out: &mut dyn Write) -> CmdResult {
+    accept_only_known_flags("study", args)?;
     let names = || Study::ALL.map(Study::name).join("|");
     let study = match args.positional.as_slice() {
         [name] => {
@@ -483,9 +489,6 @@ pub fn study(args: &Args, out: &mut dyn Write) -> CmdResult {
         }
         _ => return Err(format!("study expects exactly one name ({})", names())),
     };
-    if let Some(flag) = args.flags.keys().filter(|k| !STUDY_FLAGS.contains(&k.as_str())).min() {
-        return Err(format!("--{flag} is not a study flag (--{})", STUDY_FLAGS.join(", --")));
-    }
     if study == Study::Twod && args.has("figure") {
         return Err("--figure does not apply to `study twod`, which draws 2-D tasksets".into());
     }
@@ -512,8 +515,10 @@ pub fn study(args: &Args, out: &mut dyn Write) -> CmdResult {
 /// tcp://HOST:PORT` / `--listen unix://PATH` serves the same protocol to
 /// many concurrent socket connections through the non-blocking event
 /// loop, byte-identical per connection to the stdio transcript. Either
-/// way, a human summary goes to stderr.
+/// way, a human summary goes to stderr; under `--deterministic` its
+/// request rate reads 0, so the summary is byte-identical too.
 pub fn serve(args: &Args, out: &mut dyn Write) -> CmdResult {
+    accept_only_known_flags("serve", args)?;
     let columns = positive_count(args, "columns")?.ok_or("--columns N (≥1) is required")? as u32;
     let config = ServeConfig {
         columns,
@@ -555,8 +560,11 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> CmdResult {
         server.serve(&config, obs)?
     };
     write_metrics(&metrics, &snapshot)?;
+    // A deterministic run zeroes every timed value, the rate included, so
+    // a replay's stderr is byte-identical from run to run.
     let elapsed = start.elapsed().as_secs_f64();
-    let rate = if elapsed > 0.0 { stats.requests as f64 / elapsed } else { 0.0 };
+    let rate =
+        if config.deterministic || elapsed <= 0.0 { 0.0 } else { stats.requests as f64 / elapsed };
     eprintln!(
         "served {} requests in {} batches ({rate:.0} req/s): \
          {} accepted, {} rejected, {} errors; \
@@ -586,6 +594,7 @@ pub fn serve(args: &Args, out: &mut dyn Write) -> CmdResult {
 /// deadlock (or trip the slow-consumer disconnect) waiting for a reader.
 pub fn client(args: &Args, out: &mut dyn Write) -> CmdResult {
     use std::io::Read;
+    accept_only_known_flags("client", args)?;
     let endpoint = connect_endpoint(args)?;
     let input: Vec<u8> = match args.flags.get("input").filter(|p| !p.is_empty()) {
         Some(path) => std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?,
@@ -631,6 +640,7 @@ pub fn client(args: &Args, out: &mut dyn Write) -> CmdResult {
 /// a fixed seed (asserted in tests and byte-diffed in CI).
 pub fn loadgen(args: &Args, out: &mut dyn Write) -> CmdResult {
     use fpga_rt_loadgen::{run_soak_with_obs, run_with_obs, ArrivalProfile, LoadConfig};
+    accept_only_known_flags("loadgen", args)?;
 
     if args.flags.contains_key("target") {
         return loadgen_socket(args, out);

@@ -37,7 +37,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> ExitCode {
         "simulate" => commands::simulate(&parsed, out),
         "size" => commands::size(&parsed, out),
         "generate" => commands::generate(&parsed, out),
-        "tables" => commands::tables(out),
+        "tables" => commands::tables(&parsed, out),
         "sweep" => commands::sweep(&parsed, out),
         "study" => commands::study(&parsed, out),
         "conform" => commands::conform(&parsed, out),
@@ -54,6 +54,53 @@ pub fn run(args: &[String], out: &mut dyn Write) -> ExitCode {
         Ok(code) => code,
         Err(msg) => ExitCode::Error(msg),
     }
+}
+
+/// Every subcommand and the flags it accepts: the flags [`usage`] lists
+/// for it, nothing else.
+const COMMAND_FLAGS: [(&str, &str); 11] = [
+    ("check", "taskset columns test exact verbose"),
+    ("simulate", "taskset columns scheduler horizon placement overhead-per-column trace"),
+    ("size", "taskset max exact"),
+    ("generate", "n seed figure pretty"),
+    ("tables", ""),
+    ("sweep", "figure bins per-bin workers seed out deterministic metrics-out"),
+    ("study", "figure per-bin seed workers sim-horizon"),
+    (
+        "conform",
+        "figure bins per-bin sim-horizon workers seed out deterministic metrics-out \
+         twod samples",
+    ),
+    (
+        "serve",
+        "columns shards workers batch sessions cache exact-margin listen conns input \
+         deterministic metrics-out",
+    ),
+    ("client", "connect input"),
+    (
+        "loadgen",
+        "profile ops sessions columns rounds workers seed soak cache deterministic out \
+         metrics-out target conns requests",
+    ),
+];
+
+/// Refuse any flag `command` does not accept — a usage error (exit 2),
+/// because a misspelled flag (`--per_bin 2`) would otherwise silently run
+/// the default. Every subcommand calls this before it reads a flag.
+pub(crate) fn accept_only_known_flags(command: &str, args: &Args) -> Result<(), String> {
+    let (_, known) = COMMAND_FLAGS
+        .iter()
+        .find(|(name, _)| *name == command)
+        .expect("every subcommand lists its flags");
+    let known: Vec<&str> = known.split_whitespace().collect();
+    let Some(flag) = args.flags.keys().filter(|k| !known.contains(&k.as_str())).min() else {
+        return Ok(());
+    };
+    Err(if known.is_empty() {
+        format!("--{flag} is not a {command} flag ({command} takes no flags)")
+    } else {
+        format!("--{flag} is not a {command} flag (--{})", known.join(", --"))
+    })
 }
 
 /// One-screen usage text.
@@ -100,7 +147,7 @@ pub fn usage() -> String {
      \x20           and print the response transcript to stdout)\n\
      \x20 loadgen   [--profile poisson|bursty|adversarial|all] [--ops N] [--sessions K]\n\
      \x20           [--columns N] [--rounds R] [--workers W] [--seed S] [--soak SECS]\n\
-     \x20           [--deterministic] [--out FILE.json|FILE.csv]\n\
+     \x20           [--cache ENTRIES|off] [--deterministic] [--out FILE.json|FILE.csv]\n\
      \x20           [--metrics-out FILE.json|FILE.txt]\n\
      \x20           [--target tcp://HOST:PORT|unix://PATH [--conns N] [--requests M]]\n\
      \x20           (traffic-shaped load generator with p50/p99/p999 latency\n\
@@ -167,5 +214,52 @@ mod tests {
         assert_eq!(code, ExitCode::Accepted);
         let (code, _) = run_str(&[&line[..], &["0.5"]].concat());
         assert_eq!(code, ExitCode::Rejected, "the parsed overhead causes a miss");
+    }
+
+    /// Each subcommand accepts exactly the flags its `usage()` entry
+    /// lists.
+    #[test]
+    fn accepted_flags_match_usage() {
+        let text = usage();
+        for (i, (command, flags)) in COMMAND_FLAGS.iter().enumerate() {
+            let entry = |name: &str| text.find(&format!("  {name} ")).expect("listed in usage");
+            let end = COMMAND_FLAGS.get(i + 1).map_or(text.len(), |(next, _)| entry(next));
+            let mut listed: Vec<String> = text[entry(command)..end]
+                .split("--")
+                .skip(1)
+                .map(|rest| rest.chars().take_while(|c| c.is_ascii_lowercase() || *c == '-'))
+                .map(String::from_iter)
+                .filter(|flag| !flag.is_empty())
+                .collect();
+            listed.sort();
+            listed.dedup();
+            let mut known: Vec<&str> = flags.split_whitespace().collect();
+            known.sort();
+            assert_eq!(listed, known, "{command}");
+        }
+    }
+
+    /// A misspelled flag is a usage error naming the command's flags, for
+    /// every command — never a silent default.
+    #[test]
+    fn every_command_refuses_a_misspelled_flag() {
+        for (command, flags) in COMMAND_FLAGS {
+            let typo = match flags.split_whitespace().find(|f| f.contains('-')) {
+                Some(flag) => flag.replace('-', "_"),
+                None => {
+                    flags.split_whitespace().next().map_or("verbose".into(), |f| format!("{f}s"))
+                }
+            };
+            let mut line = vec![command];
+            if command == "study" {
+                line.push("twod");
+            }
+            let flag = format!("--{typo}");
+            line.extend([flag.as_str(), "2"]);
+            let (code, out) = run_str(&line);
+            let ExitCode::Error(msg) = code else { panic!("{line:?} ran: {code:?}") };
+            assert!(msg.starts_with(&format!("{flag} is not a {command} flag (")), "{msg}");
+            assert!(out.is_empty(), "{line:?} wrote {out}");
+        }
     }
 }

@@ -6,7 +6,8 @@
 //!   escalated decision overflows `Rat64` on these full-precision
 //!   UUniFast parameters, and each response says so and keeps its f64
 //!   verdict — 6, 159 and 360 of them. Stderr holds only the run summary
-//!   `serve` always prints.
+//!   `serve` always prints, byte for byte the same at 1 and 4 workers
+//!   (deterministic mode prints its request rate as 0).
 //! * `check --exact` (every `--test`) and `size --exact` on a taskset
 //!   whose rationals have ~10⁶ denominators exit 2, and stderr holds only
 //!   the `error:` line.
@@ -40,7 +41,13 @@ fn repo_file(path: &str) -> String {
 #[test]
 fn wide_margin_replays_fall_back_without_panicking() {
     let input = repo_file("crates/service/testdata/poisson.requests.jsonl");
-    for (margin, notes) in [("1e-3", 6), ("0.05", 159), ("0.5", 360)] {
+    const SUMMARY: &str = "served 501 requests in 32 batches (0 req/s): 173 accepted, \
+                           132 rejected, 0 errors; tiers dp-inc=173 gn1=0 gn2=132 exact=0\n";
+    const SUMMARY_05: &str = "served 501 requests in 32 batches (0 req/s): 173 accepted, \
+                              132 rejected, 0 errors; tiers dp-inc=164 gn1=0 gn2=141 exact=0\n";
+    for (margin, notes, summary) in
+        [("1e-3", 6, SUMMARY), ("0.05", 159, SUMMARY), ("0.5", 360, SUMMARY_05)]
+    {
         for workers in ["1", "4"] {
             let out = fpga_rt(&[
                 "serve",
@@ -62,11 +69,7 @@ fn wide_margin_replays_fall_back_without_panicking() {
             assert!(out.status.success(), "{context}: {:?}", out.status);
             let responses = utf8(&out.stdout);
             assert_eq!(responses.matches(NOTE).count(), notes, "{context}: fallback notes");
-            let stderr = utf8(&out.stderr);
-            let stray: Vec<&str> =
-                stderr.lines().filter(|line| !line.starts_with("served 501 requests ")).collect();
-            assert_eq!(stderr.lines().count(), 1, "{context}: one summary line\n{stderr}");
-            assert!(stray.is_empty(), "{context}: stderr beyond the summary\n{stderr}");
+            assert_eq!(utf8(&out.stderr), summary, "{context}: stderr is the one summary line");
         }
     }
 }

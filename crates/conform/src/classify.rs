@@ -21,9 +21,13 @@
 //! finite horizon, an upper bound on true schedulability (the same caveat
 //! as the paper's own simulation curves).
 
-use fpga_rt_analysis::{AnalysisSeries, AnyOfTest, DpTest, Gn1Test, Gn2Test, SchedTest};
+use fpga_rt_analysis::{
+    AnalysisSeries, AnyOfTest, BatchAnalyzer, BatchVerdicts, DpTest, Gn1Test, Gn2Test, SchedTest,
+    ScratchSpace,
+};
 use fpga_rt_exp::Evaluator;
-use fpga_rt_sim::SchedulerKind;
+use fpga_rt_model::{Fpga, TaskSet};
+use fpga_rt_sim::{simulate_f64, Horizon, SchedulerKind, SimConfig};
 use serde::{Deserialize, Serialize};
 
 /// The four conformance classes; see the [module docs](self).
@@ -49,6 +53,11 @@ impl Classification {
             Classification::PessimisticReject => "pessimistic-reject",
             Classification::SoundnessViolation => "SOUNDNESS-VIOLATION",
         }
+    }
+
+    /// Whether the classified verdict was an acceptance.
+    pub(crate) fn accepted(self) -> bool {
+        matches!(self, Classification::SoundAccept | Classification::SoundnessViolation)
     }
 }
 
@@ -117,6 +126,58 @@ impl ConformEvaluator {
     pub fn violated_target(&self, sim_clean: &[bool; 2]) -> Option<&SchedulerKind> {
         self.targets.iter().find(|k| !sim_clean[scheduler_index(k)])
     }
+}
+
+/// Synchronous-release simulation under `kind`, `horizon` × Tmax long.
+pub(crate) fn sim_config(kind: SchedulerKind, horizon: f64) -> SimConfig {
+    SimConfig::default().with_scheduler(kind).with_horizon(Horizon::PeriodsOfTmax(horizon))
+}
+
+/// Whether `ts` simulates clean on `device` under each of
+/// [`SIM_SCHEDULERS`], in that order.
+pub(crate) fn simulate_targets(ts: &TaskSet<f64>, device: &Fpga, horizon: f64) -> [bool; 2] {
+    SIM_SCHEDULERS.map(|kind| {
+        simulate_f64(ts, device, &sim_config(kind, horizon))
+            .expect("drawn tasksets validate for their device")
+            .schedulable()
+    })
+}
+
+/// Classify every evaluator's verdict on one draw against its targeted
+/// simulations (`sim_clean`, [`SIM_SCHEDULERS`] order) — the conformance
+/// engine's and the 2-D bridge's one classification. The analysis-kind
+/// evaluators share one batch-kernel pass: `ts` is packed into `scratch`
+/// once and all four series come out of it. An acceptance of a taskset
+/// the necessary test rejected (`nec_rejected`) is a violation whatever
+/// the simulations say.
+pub(crate) fn classify_draw(
+    evaluators: &[ConformEvaluator],
+    ts: &TaskSet<f64>,
+    device: &Fpga,
+    sim_clean: &[bool; 2],
+    nec_rejected: bool,
+    scratch: &mut ScratchSpace,
+) -> Vec<Classification> {
+    let mut batch: Option<BatchVerdicts> = None;
+    evaluators
+        .iter()
+        .map(|ev| {
+            let accepted = match ev.evaluator.analysis_series() {
+                Some(series) => {
+                    batch
+                        .get_or_insert_with(|| BatchAnalyzer::new().analyze(ts, device, scratch))
+                        .series(series)
+                        .accepted
+                }
+                None => ev.evaluator.accepts_with(ts, device, scratch),
+            };
+            if accepted && nec_rejected {
+                Classification::SoundnessViolation
+            } else {
+                ev.classify(accepted, sim_clean)
+            }
+        })
+        .collect()
 }
 
 /// The theorem-given simulation targets of one analytic series:

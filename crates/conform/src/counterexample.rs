@@ -33,6 +33,16 @@ pub enum ViolationKind {
 /// leading into the miss; earlier segments are dropped).
 pub const TRACE_TAIL_SEGMENTS: usize = 64;
 
+/// Most counterexamples a conformance or 2-D bridge run serializes: every
+/// violation is counted, the first ones in unit order carry evidence.
+pub const MAX_COUNTEREXAMPLES: usize = 8;
+
+/// Keep `found` until `kept` holds [`MAX_COUNTEREXAMPLES`].
+pub(crate) fn keep_capped<T>(kept: &mut Vec<T>, found: Vec<T>) {
+    let room = MAX_COUNTEREXAMPLES.saturating_sub(kept.len());
+    kept.extend(found.into_iter().take(room));
+}
+
 /// One replayable soundness counterexample.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Counterexample {

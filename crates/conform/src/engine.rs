@@ -1,36 +1,38 @@
 //! The pool-parallel conformance engine.
 //!
-//! One *unit* of work is one `(bin, sample)` coordinate: draw the taskset
-//! from its own deterministic RNG stream
-//! ([`fpga_rt_exp::acceptance::sample_seed`], shared with the sweep
-//! engine), run every [`ConformEvaluator`], the [`NecessaryTest`]
-//! falsifier and the discrete-event engine under both targeted schedulers
-//! on it, classify, and — on a violation — minimize and package a
-//! [`Counterexample`] right in the worker. Units fan out across
-//! [`fpga_rt_pool::ShardedPool`] exactly like the sweep engine, so the
-//! aggregated [`ConformReport`] is **byte-identical across worker counts
-//! and chunk sizes** (asserted by tests and enforced in CI).
+//! One *unit* of work is one `(bin, sample)` draw of the figure workload's
+//! binned population ([`fpga_rt_exp::sweep::Population`], the sweep
+//! engine's, so both engines see the same tasksets): classify every
+//! [`ConformEvaluator`] on it against the discrete-event engine under both
+//! targeted schedulers and the [`NecessaryTest`] falsifier (one
+//! classification, shared with the 2-D bridge, packing the draw once),
+//! and — on a violation — minimize and package a [`Counterexample`] right
+//! in the worker. Units run on the population driver
+//! ([`fpga_rt_pool::run_units`]), the sweep's, and fold in unit order, so
+//! the aggregated [`ConformReport`] is **byte-identical across worker
+//! counts** (asserted by tests, diffed in CI against committed goldens).
 
-use crate::classify::{Classification, ConformEvaluator, SIM_SCHEDULERS};
-use crate::counterexample::{
-    capture_miss_evidence, minimize_taskset, Counterexample, ViolationKind,
+use crate::classify::{
+    classify_draw, sim_config, simulate_targets, Classification, ConformEvaluator,
 };
-use fpga_rt_analysis::{BatchAnalyzer, BatchVerdicts, NecessaryTest, SchedTest, ScratchSpace};
-use fpga_rt_exp::acceptance::sample_seed;
-use fpga_rt_gen::{BinnedGenerator, BinningStrategy, FigureWorkload, UtilizationBins};
+use crate::counterexample::{
+    capture_miss_evidence, keep_capped, minimize_taskset, Counterexample, ViolationKind,
+};
+use fpga_rt_analysis::{NecessaryTest, SchedTest, ScratchSpace};
+use fpga_rt_exp::sweep::{record_population, Draw, Population};
+use fpga_rt_gen::{FigureWorkload, UtilizationBins};
 use fpga_rt_model::{Fpga, TaskSet};
 use fpga_rt_obs::Obs;
-use fpga_rt_pool::{PoolConfig, ShardedPool};
-use fpga_rt_sim::{simulate_f64, Horizon, SchedulerKind, SimConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use fpga_rt_pool::run_units;
+use fpga_rt_sim::{simulate_f64, SchedulerKind};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration of a conformance run.
 #[derive(Debug, Clone)]
 pub struct ConformConfig {
-    /// Which figure workload to draw from.
+    /// Which figure workload to draw from (its bin-filling strategy
+    /// included).
     pub workload: FigureWorkload,
     /// Utilization bins (x-axis).
     pub bins: UtilizationBins,
@@ -38,8 +40,6 @@ pub struct ConformConfig {
     pub per_bin: usize,
     /// Base RNG seed; every `(bin, sample)` derives its own stream.
     pub seed: u64,
-    /// Bin-filling strategy.
-    pub strategy: BinningStrategy,
     /// Simulation horizon as a factor of the taskset's largest period
     /// (`Horizon::PeriodsOfTmax`). Longer horizons make the falsifier more
     /// sensitive and the run slower.
@@ -47,12 +47,6 @@ pub struct ConformConfig {
     /// Pool worker threads (0 = all available). The report does not depend
     /// on this value.
     pub workers: usize,
-    /// Work units submitted per pool batch (bounds peak memory; the report
-    /// does not depend on this value).
-    pub chunk: usize,
-    /// Cap on *serialized* counterexamples (all violations are counted;
-    /// only the first `max_counterexamples` carry full evidence).
-    pub max_counterexamples: usize,
     /// Telemetry handle. When enabled, workers record per-unit span
     /// histograms (`conform/evaluate_ns` for the whole classification,
     /// `conform/sim_ns` for the targeted simulations) and the aggregation
@@ -63,28 +57,18 @@ pub struct ConformConfig {
 }
 
 impl ConformConfig {
-    /// Defaults for a workload: paper bins, the workload's strategy, a
-    /// 50×Tmax horizon, all cores, 1024-unit batches, 8 serialized
-    /// counterexamples.
+    /// Defaults for a workload: paper bins, a 50×Tmax horizon, all cores,
+    /// no telemetry.
     pub fn new(workload: FigureWorkload, per_bin: usize, seed: u64) -> Self {
         ConformConfig {
             workload,
             bins: UtilizationBins::paper_default(),
             per_bin,
             seed,
-            strategy: workload.strategy,
             sim_horizon: 50.0,
             workers: 0,
-            chunk: 1024,
-            max_counterexamples: 8,
             obs: Obs::off(),
         }
-    }
-
-    fn sim_config(&self, kind: SchedulerKind) -> SimConfig {
-        SimConfig::default()
-            .with_scheduler(kind)
-            .with_horizon(Horizon::PeriodsOfTmax(self.sim_horizon))
     }
 }
 
@@ -148,6 +132,36 @@ impl ConformSeries {
     }
 }
 
+/// One empty series per evaluator over `bins`, each target scheduler's
+/// name rendered by `target`.
+pub(crate) fn empty_series(
+    evaluators: &[ConformEvaluator],
+    bins: &UtilizationBins,
+    target: impl Fn(&str) -> String,
+) -> Vec<ConformSeries> {
+    evaluators
+        .iter()
+        .map(|e| ConformSeries {
+            name: e.evaluator.name.clone(),
+            targets: e.targets.iter().map(|k| target(k.name())).collect(),
+            bins: (0..bins.n).map(|b| BinClassCounts::empty(bins.center(b))).collect(),
+        })
+        .collect()
+}
+
+/// Tally one draw's classes (evaluator order) into `bin`; returns its
+/// violations.
+pub(crate) fn record_classes(
+    series: &mut [ConformSeries],
+    bin: usize,
+    classes: &[Classification],
+) -> usize {
+    for (s, &class) in series.iter_mut().zip(classes) {
+        s.bins[bin].record(class);
+    }
+    classes.iter().filter(|&&c| c == Classification::SoundnessViolation).count()
+}
+
 /// A complete conformance report — everything serialized is deterministic
 /// for a given [`ConformConfig`] and evaluator list.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -169,7 +183,8 @@ pub struct ConformReport {
     /// Violations across all evaluators and bins.
     pub total_violations: usize,
     /// Minimized evidence for the first
-    /// [`ConformConfig::max_counterexamples`] violations, in unit order.
+    /// [`MAX_COUNTEREXAMPLES`](crate::MAX_COUNTEREXAMPLES) violations, in
+    /// unit order.
     pub counterexamples: Vec<Counterexample>,
 }
 
@@ -200,9 +215,10 @@ pub struct ConformOutcome {
     pub workers: usize,
 }
 
-/// What one worker sends back per unit.
+/// What one worker sends back per drawn unit.
 #[derive(Debug)]
 struct UnitReport {
+    bin: usize,
     classes: Vec<Classification>,
     nec_rejected: bool,
     all_sims_clean: bool,
@@ -212,70 +228,33 @@ struct UnitReport {
 /// Read-only context shared by every pool worker.
 struct ConformContext {
     config: ConformConfig,
-    generator: BinnedGenerator,
+    population: Population,
     device: Fpga,
     evaluators: Vec<ConformEvaluator>,
 }
 
 impl ConformContext {
-    /// Evaluate one generated taskset (pure; shared by the pool workers
-    /// and the tests). `scratch` is the worker's reusable pack buffer:
-    /// analysis-kind evaluators ride the allocation-free batch kernel
-    /// through it.
-    fn evaluate(
-        &self,
-        ts: &TaskSet<f64>,
-        bin: usize,
-        sample: usize,
-        seed: u64,
-        scratch: &mut ScratchSpace,
-    ) -> UnitReport {
+    /// Evaluate one drawn taskset (pure). `scratch` is the worker's
+    /// reusable pack buffer.
+    fn evaluate(&self, draw: &Draw, ts: &TaskSet<f64>, scratch: &mut ScratchSpace) -> UnitReport {
         let obs = &self.config.obs;
         let unit_span = obs.span();
         let nec_rejected = !NecessaryTest.is_schedulable(ts, &self.device);
-        let mut sim_clean = [false; 2];
         let sim_span = obs.span();
-        for (i, kind) in SIM_SCHEDULERS.iter().enumerate() {
-            sim_clean[i] = simulate_f64(ts, &self.device, &self.config.sim_config(kind.clone()))
-                .expect("generated tasksets validate for the workload device")
-                .schedulable();
-        }
+        let sim_clean = simulate_targets(ts, &self.device, self.config.sim_horizon);
         obs.record_ns("conform/sim_ns", sim_span.elapsed_ns());
-        let mut classes = Vec::with_capacity(self.evaluators.len());
-        let mut counterexamples = Vec::new();
-        // Analysis-kind evaluators share one batch-kernel pass: the
-        // taskset is packed once and all four series come out of it
-        // (identical verdicts to per-series evaluation — the kernel's
-        // `analyze`/`analyze_series` agreement is asserted by tests).
-        let mut batch_verdicts: Option<BatchVerdicts> = None;
-        for ev in &self.evaluators {
-            let accepted = match ev.evaluator.analysis_series() {
-                Some(series) => {
-                    batch_verdicts
-                        .get_or_insert_with(|| {
-                            BatchAnalyzer::new().analyze(ts, &self.device, scratch)
-                        })
-                        .series(series)
-                        .accepted
-                }
-                None => ev.evaluator.accepts_with(ts, &self.device, scratch),
-            };
-            let mut class = ev.classify(accepted, &sim_clean);
-            if accepted && nec_rejected {
-                class = Classification::SoundnessViolation;
-            }
-            if class == Classification::SoundnessViolation {
-                counterexamples.push(self.build_counterexample(
-                    ts,
-                    (bin, sample, seed),
-                    ev,
-                    &sim_clean,
-                ));
-            }
-            classes.push(class);
-        }
+        let classes =
+            classify_draw(&self.evaluators, ts, &self.device, &sim_clean, nec_rejected, scratch);
+        let counterexamples = self
+            .evaluators
+            .iter()
+            .zip(&classes)
+            .filter(|(_, &class)| class == Classification::SoundnessViolation)
+            .map(|(ev, _)| self.build_counterexample(ts, draw, ev, &sim_clean))
+            .collect();
         obs.record_ns("conform/evaluate_ns", unit_span.elapsed_ns());
         UnitReport {
+            bin: draw.bin,
             classes,
             nec_rejected,
             all_sims_clean: sim_clean.iter().all(|c| *c),
@@ -283,15 +262,14 @@ impl ConformContext {
         }
     }
 
-    /// `unit` is the `(bin, sample, derived seed)` coordinate of the draw.
     fn build_counterexample(
         &self,
         ts: &TaskSet<f64>,
-        unit: (usize, usize, u64),
+        draw: &Draw,
         ev: &ConformEvaluator,
         sim_clean: &[bool; 2],
     ) -> Counterexample {
-        let (bin, sample, seed) = unit;
+        let horizon = self.config.sim_horizon;
         let accepts = |candidate: &TaskSet<f64>| ev.evaluator.accepts(candidate, &self.device);
         let (kind, scheduler) = match ev.violated_target(sim_clean) {
             Some(target) => (ViolationKind::SimMiss, Some(target.clone())),
@@ -301,7 +279,7 @@ impl ConformContext {
         };
         let minimized = match (&kind, &scheduler) {
             (ViolationKind::SimMiss, Some(target)) => {
-                let cfg = self.config.sim_config(target.clone());
+                let cfg = sim_config(target.clone(), horizon);
                 minimize_taskset(ts, |candidate| {
                     accepts(candidate)
                         && simulate_f64(candidate, &self.device, &cfg)
@@ -313,20 +291,19 @@ impl ConformContext {
                 accepts(candidate) && !NecessaryTest.is_schedulable(candidate, &self.device)
             }),
         };
-        let evidence_cfg =
-            self.config.sim_config(scheduler.clone().unwrap_or(SchedulerKind::EdfNf));
+        let evidence_cfg = sim_config(scheduler.clone().unwrap_or(SchedulerKind::EdfNf), horizon);
         let (first_miss, trace_tail) =
             capture_miss_evidence(&minimized, &self.device, &evidence_cfg);
         Counterexample {
             figure: self.config.workload.id.to_string(),
-            bin,
-            sample,
-            sample_seed: seed,
+            bin: draw.bin,
+            sample: draw.sample,
+            sample_seed: draw.seed,
             evaluator: ev.evaluator.name.clone(),
             scheduler: scheduler.map(|k| k.name().to_string()),
             kind,
             device_columns: self.device.columns(),
-            sim_horizon: self.config.sim_horizon,
+            sim_horizon: horizon,
             tasks: minimized
                 .iter()
                 .map(|(_, t)| (t.exec(), t.deadline(), t.period(), t.area()))
@@ -337,122 +314,54 @@ impl ConformContext {
     }
 }
 
-/// Run a conformance sweep over the shared worker pool. Deterministic for
-/// a given `config` and evaluator list — independent of `workers` and
-/// `chunk`.
+/// Run a conformance sweep on the population driver. Deterministic for a
+/// given `config` and evaluator list — independent of `workers`.
 pub fn run_conform(config: &ConformConfig, evaluators: Vec<ConformEvaluator>) -> ConformOutcome {
-    let n_bins = config.bins.n;
-    let per_bin = config.per_bin.max(1);
-    let series_meta: Vec<(String, Vec<String>)> = evaluators
-        .iter()
-        .map(|e| {
-            (e.evaluator.name.clone(), e.targets.iter().map(|k| k.name().to_string()).collect())
-        })
-        .collect();
+    let mut series = empty_series(&evaluators, &config.bins, str::to_string);
+    let population = Population::new(&config.workload, config.bins, config.per_bin, config.seed);
+    let units = population.units();
     let context = Arc::new(ConformContext {
-        generator: BinnedGenerator::new(
-            config.workload.spec,
-            config.workload.device_columns,
-            config.bins,
-        )
-        .with_strategy(config.strategy),
+        config: config.clone(),
+        population,
         device: config.workload.device(),
         evaluators,
-        config: config.clone(),
     });
+    let eval = move |scratch: &mut ScratchSpace, unit: usize| {
+        let draw = context.population.draw(unit);
+        draw.taskset.as_ref().map(|ts| context.evaluate(&draw, ts, scratch))
+    };
 
-    // The shard key only spreads work across workers; the shard state is
-    // the worker's scratch buffer for the batch analysis kernel.
-    let shards = 256u32;
-    let mut pool: ShardedPool<usize, Option<UnitReport>> = ShardedPool::new(
-        PoolConfig { workers: config.workers, shards },
-        |_shard| ScratchSpace::new(),
-        {
-            let context = Arc::clone(&context);
-            move |scratch, _shard, unit| {
-                let bin = unit / context.config.per_bin.max(1);
-                let sample = unit % context.config.per_bin.max(1);
-                let seed = sample_seed(context.config.seed, bin, sample);
-                let mut rng = StdRng::seed_from_u64(seed);
-                context
-                    .generator
-                    .sample_in_bin(bin, &mut rng)
-                    .map(|ts| context.evaluate(&ts, bin, sample, seed, scratch))
-            }
-        },
-    );
-    let workers = pool.workers();
-
-    let mut series: Vec<ConformSeries> = series_meta
-        .into_iter()
-        .map(|(name, targets)| ConformSeries {
-            name,
-            targets,
-            bins: (0..n_bins).map(|b| BinClassCounts::empty(config.bins.center(b))).collect(),
-        })
-        .collect();
     let mut nec_rejects = 0usize;
     let mut nec_reject_sim_clean = 0usize;
     let mut total_violations = 0usize;
     let mut counterexamples = Vec::new();
     let mut exhausted_units = 0usize;
     let mut failed_units = 0usize;
-
-    let total_units = n_bins * per_bin;
-    let chunk = config.chunk.max(1);
-    let mut unit = 0usize;
-    while unit < total_units {
-        let upper = (unit + chunk).min(total_units);
-        for u in unit..upper {
-            pool.submit((u % shards as usize) as u32, u);
-        }
-        let results = pool.collect().expect("pool workers cannot die: panics are contained");
-        for (offset, result) in results.into_iter().enumerate() {
-            let bin = (unit + offset) / per_bin;
-            match result {
-                Ok(Some(report)) => {
-                    for (e, class) in report.classes.into_iter().enumerate() {
-                        series[e].bins[bin].record(class);
-                        if class == Classification::SoundnessViolation {
-                            total_violations += 1;
-                        }
-                    }
-                    if report.nec_rejected {
-                        nec_rejects += 1;
-                        if report.all_sims_clean {
-                            nec_reject_sim_clean += 1;
-                        }
-                    }
-                    for cx in report.counterexamples {
-                        if counterexamples.len() < config.max_counterexamples {
-                            counterexamples.push(cx);
-                        }
-                    }
+    let workers =
+        run_units(config.workers, units, ScratchSpace::new, eval, |_, result| match result {
+            Ok(Some(unit)) => {
+                total_violations += record_classes(&mut series, unit.bin, &unit.classes);
+                if unit.nec_rejected {
+                    nec_rejects += 1;
+                    nec_reject_sim_clean += usize::from(unit.all_sims_clean);
                 }
-                Ok(None) => exhausted_units += 1,
-                Err(_) => failed_units += 1,
+                keep_capped(&mut counterexamples, unit.counterexamples);
             }
-        }
-        unit = upper;
-    }
+            Ok(None) => exhausted_units += 1,
+            Err(_) => failed_units += 1,
+        });
 
-    if config.obs.enabled() {
-        // Per-bin/per-figure throughput counters, accumulated on the
-        // driving thread so they are deterministic by construction.
-        let obs = &config.obs;
-        let mut figure_samples = 0u64;
-        for bin in 0..n_bins {
-            // Every evaluator classifies every sample of the bin.
-            let samples = series.first().map(|s| s.bins[bin].samples as u64).unwrap_or(0);
-            obs.add(&format!("conform/bin{bin:02}/samples"), samples);
-            figure_samples += samples;
-        }
-        obs.add(&format!("conform/figure/{}/samples", config.workload.id), figure_samples);
-        obs.add("conform/nec_rejects", nec_rejects as u64);
-        obs.add("conform/violations", total_violations as u64);
-        obs.add("conform/exhausted_units", exhausted_units as u64);
-        obs.add("conform/failed_units", failed_units as u64);
-    }
+    record_population(
+        &config.obs,
+        "conform",
+        config.workload.id,
+        // Every evaluator classifies every sample of the bin.
+        (0..config.bins.n).map(|bin| series.first().map_or(0, |s| s.bins[bin].samples)),
+        exhausted_units,
+        failed_units,
+    );
+    config.obs.add("conform/nec_rejects", nec_rejects as u64);
+    config.obs.add("conform/violations", total_violations as u64);
     ConformOutcome {
         report: ConformReport {
             workload_id: config.workload.id.to_string(),
@@ -474,7 +383,9 @@ pub fn run_conform(config: &ConformConfig, evaluators: Vec<ConformEvaluator>) ->
 mod tests {
     use super::*;
     use crate::classify::paper_conform_evaluators;
+    use crate::counterexample::MAX_COUNTEREXAMPLES;
     use fpga_rt_exp::Evaluator;
+    use fpga_rt_sim::{Horizon, SimConfig};
 
     fn tiny_config(workers: usize) -> ConformConfig {
         let mut config = ConformConfig::new(FigureWorkload::fig3a(), 6, 42);
@@ -484,15 +395,15 @@ mod tests {
         config
     }
 
+    /// Chunk-size invariance is the driver's (`fpga_rt_pool::run_units`).
     #[test]
-    fn conform_is_worker_count_and_chunk_invariant() {
+    fn conform_is_worker_count_invariant() {
         let reference = run_conform(&tiny_config(1), paper_conform_evaluators());
         for workers in [2, 4] {
-            let mut config = tiny_config(workers);
-            config.chunk = 5;
-            let out = run_conform(&config, paper_conform_evaluators());
+            let out = run_conform(&tiny_config(workers), paper_conform_evaluators());
             assert_eq!(out.report, reference.report, "workers={workers}");
             assert_eq!(out.exhausted_units, reference.exhausted_units);
+            assert_eq!(out.workers, workers);
         }
     }
 
@@ -558,11 +469,17 @@ mod tests {
             Evaluator::new("UNSOUND-ALWAYS", |_, _| true),
             vec![fpga_rt_sim::SchedulerKind::EdfNf],
         );
+        // High-utilization bins only, so violations outnumber the cap.
         let mut config = tiny_config(0);
-        config.max_counterexamples = 2;
+        config.bins = UtilizationBins::new(0.6, 1.0, 2);
+        config.per_bin = 16;
         let out = run_conform(&config, vec![always]);
-        assert!(out.report.total_violations > 2);
-        assert_eq!(out.report.counterexamples.len(), 2);
+        assert!(
+            out.report.total_violations > MAX_COUNTEREXAMPLES,
+            "{}",
+            out.report.total_violations
+        );
+        assert_eq!(out.report.counterexamples.len(), MAX_COUNTEREXAMPLES);
     }
 
     #[test]

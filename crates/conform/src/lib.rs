@@ -12,9 +12,9 @@
 //! and Singh's precise-EDF analysis (arXiv:1101.1718) use simulation/exact
 //! oracles to audit sufficient tests:
 //!
-//! 1. generate UUniFast-style populations per figure bin (the
-//!    [`fpga_rt_gen::BinnedGenerator`] + the sweep engine's
-//!    `(seed, bin, sample)` derivation, so every unit is replayable);
+//! 1. draw UUniFast-style populations per figure bin (the sweep engine's
+//!    [`fpga_rt_exp::sweep::Population`], one `(seed, bin, sample)`
+//!    stream per unit, so every unit is replayable);
 //! 2. run every analytic evaluator (DP/GN1/GN2/AnyOf), the necessary test
 //!    as an independent falsifier, **and** the `crates/sim` EDF engine
 //!    under both targeted schedulers on the same taskset;
@@ -24,9 +24,10 @@
 //!    counterexample with the first-miss job trace ([`Counterexample`],
 //!    serialized through [`fpga_rt_sim::Trace`]'s segment type).
 //!
-//! Work fans out on [`fpga_rt_pool::ShardedPool`] under the same
-//! byte-identical-across-workers determinism contract as the sweep engine
-//! — CI diffs a 1-worker run against a 4-worker run and gates merges on
+//! Work runs on the sweep engine's population driver
+//! ([`fpga_rt_pool::run_units`]) under the same
+//! byte-identical-across-workers determinism contract — CI diffs 1-worker
+//! and 4-worker runs against committed goldens and gates merges on
 //! **zero violations over ≥10 000 tasksets across all four figures**.
 //!
 //! Entry points: [`run_conform`] (1-D), [`run_twod_bridge`] (the 2-D
@@ -62,7 +63,7 @@ pub use classify::{
 };
 pub use counterexample::{
     capture_miss_evidence, minimize_taskset, minimize_with, Counterexample, ViolationKind,
-    TRACE_TAIL_SEGMENTS,
+    MAX_COUNTEREXAMPLES, TRACE_TAIL_SEGMENTS,
 };
 pub use engine::{
     run_conform, BinClassCounts, ConformConfig, ConformOutcome, ConformReport, ConformSeries,

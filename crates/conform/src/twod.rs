@@ -28,16 +28,26 @@
 //! Tallies are bucketed by the *projected* normalized utilization
 //! (`US(projection)/W`), clamped into the configured bins, so the curves
 //! line up with the 1-D conformance report's x-axis.
+//!
+//! Draws run on the population driver ([`fpga_rt_pool::run_units`]) like
+//! the 1-D engine's, and each projection is classified by the 1-D
+//! engine's one classification, which packs it once for all four
+//! analytic series.
 
-use crate::classify::{paper_conform_evaluators, Classification, SIM_SCHEDULERS};
-use crate::engine::{BinClassCounts, ConformReport, ConformSeries};
+use crate::classify::{
+    classify_draw, paper_conform_evaluators, sim_config, simulate_targets, Classification,
+    ConformEvaluator,
+};
+use crate::counterexample::{keep_capped, minimize_with};
+use crate::engine::{empty_series, record_classes, ConformReport};
 use fpga_rt_2d::{
     project_to_columns, simulate_2d, Device2D, Sim2DConfig, TaskSet2D, TasksetSpec2D,
 };
+use fpga_rt_analysis::ScratchSpace;
 use fpga_rt_exp::acceptance::sample_seed;
 use fpga_rt_gen::UtilizationBins;
-use fpga_rt_pool::{PoolConfig, ShardedPool};
-use fpga_rt_sim::{simulate_f64, Horizon, SchedulerKind, SimConfig};
+use fpga_rt_pool::run_units;
+use fpga_rt_sim::{simulate_f64, SchedulerKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -61,8 +71,6 @@ pub struct TwodBridgeConfig {
     pub sim_horizon: f64,
     /// Pool worker threads (0 = all available).
     pub workers: usize,
-    /// Cap on serialized counterexamples.
-    pub max_counterexamples: usize,
 }
 
 impl TwodBridgeConfig {
@@ -83,7 +91,6 @@ impl TwodBridgeConfig {
             seed,
             sim_horizon: 50.0,
             workers: 0,
-            max_counterexamples: 8,
         }
     }
 }
@@ -143,47 +150,38 @@ impl Sim1dAgreement {
 
 struct BridgeContext {
     config: TwodBridgeConfig,
-    evaluators: Vec<crate::classify::ConformEvaluator>,
+    evaluators: Vec<ConformEvaluator>,
     sim_2d: Sim2DConfig,
 }
 
 impl BridgeContext {
-    fn sim_1d_config(&self, kind: SchedulerKind) -> SimConfig {
-        SimConfig::default()
-            .with_scheduler(kind)
-            .with_horizon(Horizon::PeriodsOfTmax(self.config.sim_horizon))
-    }
-
     /// Evaluate one draw: classify every analytic verdict on the
     /// projection against the 1-D simulations of that projection, and
     /// record the native-2-D comparison for the measured gap.
-    fn evaluate(&self, ts: &TaskSet2D<f64>, sample: usize, seed: u64) -> BridgeUnit {
+    fn evaluate(
+        &self,
+        ts: &TaskSet2D<f64>,
+        sample: usize,
+        seed: u64,
+        scratch: &mut ScratchSpace,
+    ) -> BridgeUnit {
         let (ts1d, fpga) =
             project_to_columns(ts, &self.config.device).expect("generated tasksets are valid");
         let utilization = ts1d.system_utilization() / f64::from(fpga.columns());
-        let mut sim_clean = [false; 2];
-        for (i, kind) in SIM_SCHEDULERS.iter().enumerate() {
-            sim_clean[i] = simulate_f64(&ts1d, &fpga, &self.sim_1d_config(kind.clone()))
-                .expect("projected tasksets validate for the projected device")
-                .schedulable();
-        }
+        let sim_clean = simulate_targets(&ts1d, &fpga, self.config.sim_horizon);
         let native_clean = simulate_2d(ts, &self.config.device, &self.sim_2d)
             .expect("generated tasksets are valid")
             .schedulable();
-        let mut classes = Vec::with_capacity(self.evaluators.len());
-        let mut counterexamples = Vec::new();
-        let mut anyof_accepts = false;
-        for (i, ev) in self.evaluators.iter().enumerate() {
-            let accepted = ev.evaluator.accepts(&ts1d, &fpga);
-            if ev.evaluator.name == "AnyOf" {
-                anyof_accepts = accepted;
-            }
-            let class = ev.classify(accepted, &sim_clean);
-            if class == Classification::SoundnessViolation {
-                counterexamples.push(self.build_counterexample(ts, sample, seed, i, &sim_clean));
-            }
-            classes.push(class);
-        }
+        let classes = classify_draw(&self.evaluators, &ts1d, &fpga, &sim_clean, false, scratch);
+        let anyof_accepts = self
+            .evaluators
+            .iter()
+            .zip(&classes)
+            .any(|(ev, class)| ev.evaluator.name == "AnyOf" && class.accepted());
+        let counterexamples = (0..classes.len())
+            .filter(|&i| classes[i] == Classification::SoundnessViolation)
+            .map(|i| self.build_counterexample(ts, sample, seed, i, &sim_clean))
+            .collect();
         BridgeUnit {
             classes,
             utilization,
@@ -199,7 +197,7 @@ impl BridgeContext {
     fn violation_holds(&self, ts: &TaskSet2D<f64>, index: usize, target: &SchedulerKind) -> bool {
         let Ok((ts1d, fpga)) = project_to_columns(ts, &self.config.device) else { return false };
         self.evaluators[index].evaluator.accepts(&ts1d, &fpga)
-            && simulate_f64(&ts1d, &fpga, &self.sim_1d_config(target.clone()))
+            && simulate_f64(&ts1d, &fpga, &sim_config(target.clone(), self.config.sim_horizon))
                 .map(|o| !o.schedulable())
                 .unwrap_or(false)
     }
@@ -216,7 +214,7 @@ impl BridgeContext {
             .violated_target(sim_clean)
             .expect("a violation names its missing scheduler")
             .clone();
-        let current = crate::counterexample::minimize_with(
+        let current = minimize_with(
             ts,
             |t| t.len(),
             |t, drop| {
@@ -234,7 +232,8 @@ impl BridgeContext {
         let first_miss_time = project_to_columns(&current, &self.config.device)
             .ok()
             .and_then(|(ts1d, fpga)| {
-                simulate_f64(&ts1d, &fpga, &self.sim_1d_config(target.clone())).ok()
+                simulate_f64(&ts1d, &fpga, &sim_config(target.clone(), self.config.sim_horizon))
+                    .ok()
             })
             .and_then(|o| o.first_miss().map(|m| m.time));
         TwodCounterexample {
@@ -270,8 +269,8 @@ pub struct TwodBridgeOutcome {
     /// counterexamples inside — [`TwodBridgeOutcome::counterexamples`]
     /// carries the 2-D ones).
     pub report: ConformReport,
-    /// Minimized 2-D counterexamples, capped by
-    /// [`TwodBridgeConfig::max_counterexamples`].
+    /// Minimized 2-D counterexamples, capped at
+    /// [`MAX_COUNTEREXAMPLES`](crate::MAX_COUNTEREXAMPLES).
     pub counterexamples: Vec<TwodCounterexample>,
     /// The measured 1-D-sim vs native-2-D-sim agreement matrix.
     pub sim1d: Sim1dAgreement,
@@ -312,92 +311,51 @@ impl TwodBridgeOutcome {
     }
 }
 
-/// Run the bridge conformance over the shared worker pool. Deterministic
+/// Run the bridge conformance on the population driver. Deterministic
 /// for a given config — independent of the worker count.
 pub fn run_twod_bridge(config: &TwodBridgeConfig) -> TwodBridgeOutcome {
     config.spec.validate().expect("valid 2-D spec");
+    let evaluators = paper_conform_evaluators();
+    let mut series = empty_series(&evaluators, &config.bins, |k| format!("{k} (projected)"));
     let context = Arc::new(BridgeContext {
-        evaluators: paper_conform_evaluators(),
+        evaluators,
         sim_2d: Sim2DConfig { horizon_periods: config.sim_horizon, ..Sim2DConfig::default() },
         config: config.clone(),
     });
+    let eval = move |scratch: &mut ScratchSpace, sample: usize| {
+        let seed = sample_seed(context.config.seed, 0, sample);
+        let ts = context.config.spec.generate(&mut StdRng::seed_from_u64(seed));
+        context.evaluate(&ts, sample, seed, scratch)
+    };
 
-    let shards = 256u32;
-    let mut pool: ShardedPool<usize, BridgeUnit> =
-        ShardedPool::new(PoolConfig { workers: config.workers, shards }, |_shard| (), {
-            let context = Arc::clone(&context);
-            move |(), _shard, sample| {
-                let seed = sample_seed(context.config.seed, 0, sample);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let ts = context.config.spec.generate(&mut rng);
-                context.evaluate(&ts, sample, seed)
-            }
-        });
-    let workers = pool.workers();
-
-    let mut series: Vec<ConformSeries> = context
-        .evaluators
-        .iter()
-        .map(|e| ConformSeries {
-            name: e.evaluator.name.clone(),
-            targets: e.targets.iter().map(|k| format!("{} (projected)", k.name())).collect(),
-            bins: (0..config.bins.n)
-                .map(|b| BinClassCounts::empty(config.bins.center(b)))
-                .collect(),
-        })
-        .collect();
     let mut total_violations = 0usize;
     let mut counterexamples = Vec::new();
     let mut sim1d = Sim1dAgreement::default();
     let mut analytic_anomalies = 0usize;
     let mut failed_units = 0usize;
-
-    let chunk = 1024usize;
-    let mut sample = 0usize;
-    while sample < config.samples {
-        let upper = (sample + chunk).min(config.samples);
-        for s in sample..upper {
-            pool.submit((s % shards as usize) as u32, s);
-        }
-        let results = pool.collect().expect("pool workers cannot die: panics are contained");
-        for result in results {
-            let unit = match result {
-                Ok(unit) => unit,
-                // A panicking draw poisons one sample, not the run.
-                Err(_) => {
-                    failed_units += 1;
-                    continue;
-                }
+    let workers =
+        run_units(config.workers, config.samples, ScratchSpace::new, eval, |_, result| {
+            // A panicking draw poisons one sample, not the run.
+            let Ok(unit) = result else {
+                failed_units += 1;
+                return;
             };
-            // Clamp the observed utilization into the configured bins so
-            // no draw is dropped from the tallies.
+            // Clamp the observed utilization into the configured bins so no
+            // draw is dropped from the tallies.
             let bin = config
                 .bins
                 .index_of(unit.utilization)
                 .unwrap_or(if unit.utilization < config.bins.lo { 0 } else { config.bins.n - 1 });
-            for (e, class) in unit.classes.into_iter().enumerate() {
-                series[e].bins[bin].record(class);
-                if class == Classification::SoundnessViolation {
-                    total_violations += 1;
-                }
-            }
+            total_violations += record_classes(&mut series, bin, &unit.classes);
             match (unit.sim1d_clean, unit.native_clean) {
                 (true, true) => sim1d.both_clean += 1,
                 (true, false) => sim1d.anomaly_1d_clean_2d_miss += 1,
                 (false, true) => sim1d.conservative_1d_miss_2d_clean += 1,
                 (false, false) => sim1d.both_miss += 1,
             }
-            if unit.analytic_anomaly {
-                analytic_anomalies += 1;
-            }
-            for cx in unit.counterexamples {
-                if counterexamples.len() < config.max_counterexamples {
-                    counterexamples.push(cx);
-                }
-            }
-        }
-        sample = upper;
-    }
+            analytic_anomalies += usize::from(unit.analytic_anomaly);
+            keep_capped(&mut counterexamples, unit.counterexamples);
+        });
 
     TwodBridgeOutcome {
         report: ConformReport {

@@ -12,9 +12,10 @@
 //! * [`acceptance`] — the acceptance-ratio vocabulary behind Figures
 //!   3(a)–4(b): pluggable [`Evaluator`]s (analytic tests and simulations)
 //!   and the [`SweepResult`] curves they produce.
-//! * [`sweep`] — the sweep engine: binned taskset generation fanned out
-//!   over the shared worker pool ([`fpga_rt_pool::ShardedPool`]),
-//!   byte-identical across worker counts, at any population size.
+//! * [`sweep`] — the sweep engine: the binned population (shared with
+//!   the conformance engine) evaluated on the workspace's one population
+//!   driver ([`fpga_rt_pool::run_units`]), byte-identical across worker
+//!   counts, at any population size.
 //! * [`study`] — the seven studies of `fpga-rt study`: figures, ablations
 //!   (X1–X3), placement (X5), overhead (X6), partitioned (X7), twod (X10)
 //!   and release (X11).

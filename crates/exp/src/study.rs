@@ -5,8 +5,8 @@
 //! Every study except `twod` is an evaluator list swept over a figure
 //! workload by [`run_pool_sweep`], so its tables are byte-identical for
 //! any worker count. `twod` draws 2-D tasksets, which the figure
-//! generators cannot, and fans their evaluation out on the same worker
-//! pool.
+//! generators cannot, and evaluates them on the same population driver
+//! ([`fpga_rt_pool::run_units`]), PROJ-ANY on the batch kernel.
 //!
 //! ```
 //! use fpga_rt_exp::study::{Study, StudyConfig};
@@ -28,10 +28,12 @@ use core::fmt::Write as _;
 use fpga_rt_2d::{
     project_to_columns, simulate_2d, Device2D, Scheduler2D, Sim2DConfig, TaskSet2D, TasksetSpec2D,
 };
-use fpga_rt_analysis::{AnyOfTest, DpTest, Gn1Test, Gn2Test, SchedTest};
+use fpga_rt_analysis::{
+    AnalysisSeries, AnyOfTest, BatchAnalyzer, DpTest, Gn1Test, Gn2Test, SchedTest, ScratchSpace,
+};
 use fpga_rt_gen::FigureWorkload;
 use fpga_rt_model::TaskSet;
-use fpga_rt_pool::{PoolConfig, ShardedPool};
+use fpga_rt_pool::run_units;
 use fpga_rt_sim::{
     partition_taskset, simulate_f64, FitStrategy, Horizon, PlacementPolicy, ReconfigOverhead,
     ReleaseModel, SchedulerKind, SimConfig,
@@ -414,24 +416,20 @@ fn twod_sweep(config: &StudyConfig, device: &Device2D) -> SweepResult {
     }
 
     let draws: Arc<[(usize, TaskSet2D<f64>)]> = draws.into();
-    let shards = 256u32;
-    let mut pool: ShardedPool<usize, [bool; 4]> =
-        ShardedPool::new(PoolConfig { workers: config.workers, shards }, |_shard| (), {
-            let draws = Arc::clone(&draws);
-            let (device, horizon) = (*device, config.sim_horizon);
-            move |(), _shard, i: usize| twod_verdicts(&draws[i].1, &device, horizon)
-        });
-    for i in 0..draws.len() {
-        pool.submit((i % shards as usize) as u32, i);
-    }
-    let verdicts = pool.collect().expect("pool workers cannot die: panics are contained");
     let mut accepted = [[0usize; 4]; TWOD_BINS];
-    for ((bin, _), verdict) in draws.iter().zip(verdicts) {
+    let eval = {
+        let draws = Arc::clone(&draws);
+        let (device, horizon) = (*device, config.sim_horizon);
+        move |scratch: &mut ScratchSpace, i: usize| {
+            twod_verdicts(&draws[i].1, &device, horizon, scratch)
+        }
+    };
+    run_units(config.workers, draws.len(), ScratchSpace::new, eval, |i, verdict| {
         let verdict = verdict.expect("2-D evaluation of a generated taskset");
-        for (count, ok) in accepted[*bin].iter_mut().zip(verdict) {
+        for (count, ok) in accepted[draws[i].0].iter_mut().zip(verdict) {
             *count += usize::from(ok);
         }
-    }
+    });
 
     SweepResult {
         workload_id: "twod".to_string(),
@@ -453,7 +451,14 @@ fn twod_sweep(config: &StudyConfig, device: &Device2D) -> SweepResult {
     }
 }
 
-fn twod_verdicts(ts: &TaskSet2D<f64>, device: &Device2D, horizon: f64) -> [bool; 4] {
+/// One draw's [`TWOD_SERIES`] verdicts; PROJ-ANY is the batch kernel's
+/// `AnyOf` on the worker's scratch.
+fn twod_verdicts(
+    ts: &TaskSet2D<f64>,
+    device: &Device2D,
+    horizon: f64,
+    scratch: &mut ScratchSpace,
+) -> [bool; 4] {
     let native = |scheduler| {
         let cfg = Sim2DConfig { scheduler, horizon_periods: horizon, ..Sim2DConfig::default() };
         simulate_2d(ts, device, &cfg).expect("valid 2-D taskset").schedulable()
@@ -463,7 +468,9 @@ fn twod_verdicts(ts: &TaskSet2D<f64>, device: &Device2D, horizon: f64) -> [bool;
     [
         native(Scheduler2D::EdfNf),
         native(Scheduler2D::EdfFkf),
-        AnyOfTest::paper_suite().is_schedulable(&projected, &fpga),
+        BatchAnalyzer::new()
+            .analyze_series(AnalysisSeries::AnyOf, &projected, &fpga, scratch)
+            .accepted,
         projected_sim.schedulable(),
     ]
 }

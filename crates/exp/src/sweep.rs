@@ -1,28 +1,34 @@
-//! The sweep engine: acceptance-ratio curves over the workspace-wide
-//! deterministic worker pool ([`fpga_rt_pool::ShardedPool`]).
+//! The population engine: a figure workload's binned UUniFast population
+//! evaluated on the workspace's one population driver
+//! ([`fpga_rt_pool::run_units`]), as acceptance-ratio curves here and as
+//! conformance tallies in `fpga-rt-conform`.
 //!
+//! * **One population** — [`Population::draw`] is the one binned draw:
+//!   unit `u` is sample `u % per_bin` of bin `u / per_bin`, drawn from its
+//!   own [`crate::acceptance::sample_seed`]`(seed, bin, sample)` stream, so
+//!   the sweep and the conformance engine see the same tasksets, and both
+//!   are byte-identical across worker counts (asserted by tests, diffed in
+//!   CI against committed goldens).
 //! * **Scale** — the paper's figures use a handful of ~10 000-taskset
-//!   experiment groups; a pool sweep makes 10–100× larger populations (the
+//!   experiment groups; the driver makes 10–100× larger populations (the
 //!   scale argued for by Goossens & Meumeu Yomsi's exact global-EDF work
 //!   and Singh's EDF complexity-reduction results) a single function call,
-//!   batched so memory stays flat.
-//! * **Determinism by construction** — every sample draws its taskset from
-//!   [`crate::acceptance::sample_seed`]`(seed, bin, sample)`, so curves are
-//!   byte-identical across worker counts (asserted by tests and diffed in
-//!   CI).
+//!   chunked so memory stays flat.
 //! * **Containment** — a panicking evaluator poisons one work unit
 //!   (counted in [`PoolSweepOutcome::failed_units`]), not the whole sweep.
+//! * **Telemetry** — [`record_population`] writes both engines' per-bin,
+//!   per-figure, exhausted and failed counters.
 //!
 //! ## Kernels
 //!
 //! When every evaluator is analysis-kind ([`Evaluator::analysis`] — the
-//! [`analysis_evaluators`] suite), the engine takes the **batch path**: a
+//! [`analysis_evaluators`] suite), the sweep takes the **batch path**: a
 //! work unit is a [`BATCH_SAMPLES`]-sample block, each worker packs its
-//! block into a per-worker [`TaskSetBatch`] (structure-of-arrays columns,
-//! λ candidates pre-sorted at pack time, held in `fpga-rt-pool` shard
-//! state) and one [`BatchAnalyzer`] pass produces all four verdicts with
-//! zero per-taskset heap allocation. Any custom evaluator in the list
-//! falls back to the per-sample closure ("scalar") path (with a per-worker
+//! block into its [`TaskSetBatch`] (structure-of-arrays columns, λ
+//! candidates pre-sorted at pack time, the worker's driver state) and one
+//! [`BatchAnalyzer`] pass produces all four verdicts with zero
+//! per-taskset heap allocation. Any custom evaluator in the list falls
+//! back to the per-sample closure ("scalar") path (with the worker's
 //! [`ScratchSpace`] so analysis-kind members of a mixed list still ride
 //! the packed kernel). Both paths produce bit-identical curves — the
 //! closure path's `SchedTest::check` reports come from the same analysis
@@ -52,24 +58,26 @@
 
 use crate::acceptance::{sample_seed, AcceptanceSeries, Evaluator, SeriesPoint, SweepResult};
 use fpga_rt_analysis::{AnalysisSeries, BatchAnalyzer, BatchVerdicts, ScratchSpace, TaskSetBatch};
-use fpga_rt_gen::{BinnedGenerator, BinningStrategy, FigureWorkload, UtilizationBins};
+use fpga_rt_gen::{BinnedGenerator, FigureWorkload, UtilizationBins};
+use fpga_rt_model::TaskSet;
 use fpga_rt_obs::Obs;
-use fpga_rt_pool::{PoolConfig, ShardedPool};
+use fpga_rt_pool::run_units;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Samples per batch-path work unit: large enough to amortize pool
 /// messaging and keep the SoA columns cache-resident, small enough that a
-/// contained panic loses little. Fixed (never derived from `workers` or
-/// `chunk`) so the unit decomposition — and therefore every artifact — is
-/// invariant in both.
+/// contained panic loses little. Fixed (never derived from `workers`) so
+/// the unit decomposition — and therefore every artifact — is invariant in
+/// the worker count.
 pub const BATCH_SAMPLES: usize = 64;
 
 /// Configuration of a pool-backed sweep.
 #[derive(Debug, Clone)]
 pub struct PoolSweepConfig {
-    /// Which figure workload to draw from.
+    /// Which figure workload to draw from (its bin-filling strategy
+    /// included).
     pub workload: FigureWorkload,
     /// Utilization bins (x-axis).
     pub bins: UtilizationBins,
@@ -78,14 +86,9 @@ pub struct PoolSweepConfig {
     /// Base RNG seed; every (bin, sample) derives its own stream via
     /// [`sample_seed`].
     pub seed: u64,
-    /// Bin-filling strategy.
-    pub strategy: BinningStrategy,
     /// Pool worker threads (0 = all available). The curves do not depend
     /// on this value.
     pub workers: usize,
-    /// Work units submitted per pool batch (bounds peak memory; the curves
-    /// do not depend on this value).
-    pub chunk: usize,
     /// Telemetry handle. When enabled, workers record per-kernel
     /// pack/evaluate span histograms (`sweep/batch/pack_ns`,
     /// `sweep/batch/evaluate_ns`, `sweep/scalar/evaluate_ns`) and the
@@ -96,17 +99,14 @@ pub struct PoolSweepConfig {
 }
 
 impl PoolSweepConfig {
-    /// Defaults for a workload: paper bins, the workload's strategy, all
-    /// cores, 4096-unit batches.
+    /// Defaults for a workload: paper bins, all cores, no telemetry.
     pub fn new(workload: FigureWorkload, per_bin: usize, seed: u64) -> Self {
         PoolSweepConfig {
             workload,
             bins: UtilizationBins::paper_default(),
             per_bin,
             seed,
-            strategy: workload.strategy,
             workers: 0,
-            chunk: 4096,
             obs: Obs::off(),
         }
     }
@@ -129,47 +129,84 @@ pub struct PoolSweepOutcome {
     pub workers: usize,
 }
 
-/// Read-only context shared by every pool worker.
-struct SweepContext {
+/// A figure workload's binned population: `bins.n × per_bin` units, unit
+/// `u` being sample `u % per_bin` of bin `u / per_bin`.
+#[derive(Debug, Clone)]
+pub struct Population {
     generator: BinnedGenerator,
-    device: fpga_rt_model::Fpga,
     per_bin: usize,
     seed: u64,
 }
 
-impl SweepContext {
-    fn new(config: &PoolSweepConfig) -> Self {
-        SweepContext {
-            generator: BinnedGenerator::new(
-                config.workload.spec,
-                config.workload.device_columns,
-                config.bins,
-            )
-            .with_strategy(config.strategy),
-            device: config.workload.device(),
-            per_bin: config.per_bin,
-            seed: config.seed,
-        }
+/// One unit of a [`Population`].
+#[derive(Debug, Clone)]
+pub struct Draw {
+    /// Utilization bin.
+    pub bin: usize,
+    /// Sample index within the bin.
+    pub sample: usize,
+    /// The unit's RNG seed, [`sample_seed`]`(seed, bin, sample)`.
+    pub seed: u64,
+    /// The taskset, or `None` when the generator exhausted its attempt
+    /// budget.
+    pub taskset: Option<TaskSet<f64>>,
+}
+
+impl Population {
+    /// The population of `workload` (with its bin-filling strategy) over
+    /// `bins`, `per_bin` tasksets each, from base seed `seed`.
+    pub fn new(
+        workload: &FigureWorkload,
+        bins: UtilizationBins,
+        per_bin: usize,
+        seed: u64,
+    ) -> Self {
+        let generator = BinnedGenerator::new(workload.spec, workload.device_columns, bins)
+            .with_strategy(workload.strategy);
+        Population { generator, per_bin, seed }
     }
 
-    /// Draw the taskset of global sample index `unit`.
-    fn sample(&self, unit: usize) -> Option<fpga_rt_model::TaskSet<f64>> {
-        let bin = unit / self.per_bin;
-        let sample = unit % self.per_bin;
-        let mut rng = StdRng::seed_from_u64(sample_seed(self.seed, bin, sample));
-        self.generator.sample_in_bin(bin, &mut rng)
+    /// Units in the population.
+    pub fn units(&self) -> usize {
+        self.generator.bins.n * self.per_bin
+    }
+
+    /// Draw unit `unit` — the same taskset whoever draws it, whenever.
+    pub fn draw(&self, unit: usize) -> Draw {
+        let bin = unit / self.per_bin.max(1);
+        let sample = unit % self.per_bin.max(1);
+        let seed = sample_seed(self.seed, bin, sample);
+        let taskset = self.generator.sample_in_bin(bin, &mut StdRng::seed_from_u64(seed));
+        Draw { bin, sample, seed, taskset }
     }
 }
 
-/// Per-sample verdicts on the scalar path: which evaluators accepted the
-/// sampled taskset, or `None` when the generator could not fill the bin
-/// for this sample.
-type UnitVerdicts = Option<Vec<bool>>;
-
-/// Per-sample verdicts on the batch path, packed: evaluator index `e` is
-/// bit `e` — the dispatch guard caps batch-path evaluator lists at 8, far
-/// above the 4 analytic series.
-type SampleMask = Option<u8>;
+/// Write a population run's counters under `engine` (`"sweep"`,
+/// `"conform"`): `<engine>/binNN/samples` per bin, the figure's total as
+/// `<engine>/figure/<id>/samples`, and `<engine>/exhausted_units` and
+/// `<engine>/failed_units`. Called on the driving thread after the fold,
+/// so the counters are deterministic by construction; a no-op unless
+/// `obs` is enabled.
+pub fn record_population(
+    obs: &Obs,
+    engine: &str,
+    figure: &str,
+    bin_samples: impl IntoIterator<Item = usize>,
+    exhausted: usize,
+    failed: usize,
+) {
+    if !obs.enabled() {
+        return;
+    }
+    let mut figure_samples = 0u64;
+    for (bin, samples) in bin_samples.into_iter().enumerate() {
+        obs.add(&format!("{engine}/bin{bin:02}/samples"), samples as u64);
+        figure_samples += samples as u64;
+    }
+    obs.add(&format!("{engine}/figure/{figure}/samples"), figure_samples);
+    obs.add(&format!("{engine}/exhausted_units"), exhausted as u64);
+    obs.add(&format!("{engine}/failed_units"), failed as u64);
+}
 
 /// The paper's analytic series — DP (Theorem 1), GN1 (Theorem 2), GN2
 /// (Theorem 3) and the Section-6 composite (accept iff any test accepts),
@@ -193,191 +230,104 @@ pub fn analysis_evaluators_scalar() -> Vec<Evaluator> {
     ]
 }
 
-/// Run a sweep over the shared worker pool. Deterministic for a given
-/// `config` and evaluator list — independent of `workers` and `chunk`,
-/// and independent of whether the batch or the scalar path evaluates the
+/// Per-worker reusable buffers of the batch path: the pack buffer and the
+/// verdict store reach a steady state with zero per-taskset heap
+/// allocation.
+#[derive(Default)]
+struct BlockScratch {
+    batch: TaskSetBatch,
+    verdicts: Vec<BatchVerdicts>,
+}
+
+/// Run a sweep on the population driver. Deterministic for a given
+/// `config` and evaluator list — independent of `workers`, and
+/// independent of whether the batch or the scalar path evaluates the
 /// analytic series.
 pub fn run_pool_sweep(config: &PoolSweepConfig, evaluators: &[Evaluator]) -> PoolSweepOutcome {
+    let population =
+        Arc::new(Population::new(&config.workload, config.bins, config.per_bin, config.seed));
+    let units = population.units();
+    let device = config.workload.device();
+    let obs = config.obs.clone();
+    let mut tally = SweepTally::new(config.bins.n, evaluators.len());
     let all_analysis: Option<Vec<AnalysisSeries>> =
         evaluators.iter().map(Evaluator::analysis_series).collect();
-    match all_analysis {
+    let workers = match all_analysis {
+        // The batch path: a unit is a block, packed and evaluated in one
+        // kernel pass; evaluator `e`'s verdict is bit `e` of a sample's
+        // mask, so the path takes at most 8 evaluators.
         Some(series) if !series.is_empty() && series.len() <= 8 => {
-            run_batched_sweep(config, evaluators, series)
-        }
-        _ => run_scalar_sweep(config, evaluators),
-    }
-}
-
-/// The per-sample path: each unit draws one taskset and runs every
-/// evaluator on it (analysis-kind members still use the kernel through the
-/// worker's scratch buffer).
-fn run_scalar_sweep(config: &PoolSweepConfig, evaluators: &[Evaluator]) -> PoolSweepOutcome {
-    let context = Arc::new(SweepContext::new(config));
-    let evaluators_arc: Arc<[Evaluator]> = evaluators.into();
-
-    // Stateless work: shard only spreads units across workers. 256 shards
-    // keep any worker count ≤ 256 evenly loaded while staying cheap.
-    let shards = 256u32;
-    let mut pool: ShardedPool<usize, UnitVerdicts> = ShardedPool::new(
-        PoolConfig { workers: config.workers, shards },
-        |_shard| ScratchSpace::new(),
-        {
-            let context = Arc::clone(&context);
-            let evaluators = Arc::clone(&evaluators_arc);
-            let obs = config.obs.clone();
-            move |scratch, _shard, unit| {
-                context.sample(unit).map(|ts| {
-                    let span = obs.span();
-                    let verdicts: Vec<bool> = evaluators
-                        .iter()
-                        .map(|ev| ev.accepts_with(&ts, &context.device, scratch))
-                        .collect();
-                    obs.record_ns("sweep/scalar/evaluate_ns", span.elapsed_ns());
-                    verdicts
-                })
-            }
-        },
-    );
-    let workers = pool.workers();
-
-    let n_bins = config.bins.n;
-    let mut tally = SweepTally::new(n_bins, evaluators.len());
-    let total_units = n_bins * config.per_bin;
-    let chunk = config.chunk.max(1);
-    let mut unit = 0usize;
-    while unit < total_units {
-        let upper = (unit + chunk).min(total_units);
-        for u in unit..upper {
-            pool.submit((u % shards as usize) as u32, u);
-        }
-        let results = pool.collect().expect("pool workers cannot die: panics are contained");
-        for (offset, result) in results.into_iter().enumerate() {
-            let bin = (unit + offset) / config.per_bin;
-            match result {
-                Ok(Some(verdicts)) => tally.record_bools(bin, &verdicts),
-                Ok(None) => tally.exhausted += 1,
-                Err(_) => tally.failed += 1,
-            }
-        }
-        unit = upper;
-    }
-
-    tally.into_outcome(config, evaluators, workers)
-}
-
-/// The batch path: each unit is a [`BATCH_SAMPLES`]-sample block packed
-/// into the worker's structure-of-arrays [`TaskSetBatch`] and evaluated in
-/// one [`BatchAnalyzer`] pass.
-fn run_batched_sweep(
-    config: &PoolSweepConfig,
-    evaluators: &[Evaluator],
-    series: Vec<AnalysisSeries>,
-) -> PoolSweepOutcome {
-    /// Per-worker reusable buffers, built by the pool's shard-state
-    /// factory: the pack buffer and the verdict store reach a steady state
-    /// with zero per-taskset heap allocation.
-    #[derive(Default)]
-    struct BlockScratch {
-        batch: TaskSetBatch,
-        verdicts: Vec<BatchVerdicts>,
-    }
-
-    let context = Arc::new(SweepContext::new(config));
-    let n_bins = config.bins.n;
-    let total_units = n_bins * config.per_bin;
-    let series: Arc<[AnalysisSeries]> = series.into();
-
-    let shards = 256u32;
-    let mut pool: ShardedPool<usize, Vec<SampleMask>> = ShardedPool::new(
-        PoolConfig { workers: config.workers, shards },
-        |_shard| BlockScratch::default(),
-        {
-            let context = Arc::clone(&context);
-            let series = Arc::clone(&series);
-            let obs = config.obs.clone();
-            move |scratch: &mut BlockScratch, _shard, block: usize| {
-                let start = block * BATCH_SAMPLES;
-                let end = (start + BATCH_SAMPLES).min(total_units);
-                let mut out: Vec<SampleMask> = Vec::with_capacity(end - start);
+            let block_units =
+                move |block: usize| block * BATCH_SAMPLES..units.min((block + 1) * BATCH_SAMPLES);
+            let eval = move |scratch: &mut BlockScratch, block: usize| {
+                let mut masks: Vec<Option<(usize, u8)>> = Vec::with_capacity(BATCH_SAMPLES);
                 let pack_span = obs.span();
                 scratch.batch.clear();
-                for unit in start..end {
-                    match context.sample(unit) {
-                        Some(ts) => {
-                            scratch.batch.push(&ts);
-                            out.push(Some(0));
-                        }
-                        None => out.push(None),
-                    }
+                for unit in block_units(block) {
+                    let draw = population.draw(unit);
+                    masks.push(draw.taskset.map(|ts| {
+                        scratch.batch.push(&ts);
+                        (draw.bin, 0)
+                    }));
                 }
                 obs.record_ns("sweep/batch/pack_ns", pack_span.elapsed_ns());
                 let evaluate_span = obs.span();
-                BatchAnalyzer::new().analyze_batch(
-                    &scratch.batch,
-                    &context.device,
-                    &mut scratch.verdicts,
-                );
+                BatchAnalyzer::new().analyze_batch(&scratch.batch, &device, &mut scratch.verdicts);
                 obs.record_ns("sweep/batch/evaluate_ns", evaluate_span.elapsed_ns());
-                let mut packed = scratch.verdicts.iter();
-                for slot in out.iter_mut().filter(|s| s.is_some()) {
-                    let verdicts = packed.next().expect("one verdict set per packed taskset");
-                    let mut mask = 0u8;
+                for ((_, mask), verdicts) in masks.iter_mut().flatten().zip(&scratch.verdicts) {
                     for (e, &s) in series.iter().enumerate() {
-                        if verdicts.series(s).accepted {
-                            mask |= mask_bit(e);
-                        }
-                    }
-                    *slot = Some(mask);
-                }
-                out
-            }
-        },
-    );
-    let workers = pool.workers();
-
-    let mut tally = SweepTally::new(n_bins, evaluators.len());
-    let total_blocks = total_units.div_ceil(BATCH_SAMPLES);
-    let blocks_per_chunk = config.chunk.max(1).div_ceil(BATCH_SAMPLES);
-    let mut block = 0usize;
-    while block < total_blocks {
-        let upper = (block + blocks_per_chunk).min(total_blocks);
-        for b in block..upper {
-            pool.submit((b % shards as usize) as u32, b);
-        }
-        let results = pool.collect().expect("pool workers cannot die: panics are contained");
-        for (offset, result) in results.into_iter().enumerate() {
-            let b = block + offset;
-            let start = b * BATCH_SAMPLES;
-            let end = (start + BATCH_SAMPLES).min(total_units);
-            match result {
-                Ok(masks) => {
-                    debug_assert_eq!(masks.len(), end - start);
-                    for (unit, mask) in (start..end).zip(masks) {
-                        match mask {
-                            Some(mask) => tally.record(unit / config.per_bin, mask),
-                            None => tally.exhausted += 1,
-                        }
+                        *mask |= u8::from(verdicts.series(s).accepted) << e;
                     }
                 }
-                // A contained panic poisons the whole block; the kernel
-                // itself is panic-free on validated tasksets, so this only
-                // fires on generator bugs.
-                Err(_) => tally.failed += end - start,
-            }
+                masks
+            };
+            let blocks = units.div_ceil(BATCH_SAMPLES);
+            run_units(config.workers, blocks, BlockScratch::default, eval, |block, result| {
+                match result {
+                    Ok(masks) => {
+                        for mask in masks {
+                            match mask {
+                                Some((bin, mask)) => tally.record(bin, |e| mask & (1 << e) != 0),
+                                None => tally.exhausted += 1,
+                            }
+                        }
+                    }
+                    // A contained panic poisons the whole block; the
+                    // kernel itself is panic-free on validated tasksets,
+                    // so this only fires on generator bugs.
+                    Err(_) => tally.failed += block_units(block).len(),
+                }
+            })
         }
-        block = upper;
-    }
-
+        // The per-sample path: each unit draws one taskset and runs every
+        // evaluator on it (analysis-kind members still use the kernel
+        // through the worker's scratch buffer).
+        _ => {
+            let evaluators: Arc<[Evaluator]> = evaluators.into();
+            let eval = move |scratch: &mut ScratchSpace, unit: usize| {
+                let draw = population.draw(unit);
+                draw.taskset.map(|ts| {
+                    let span = obs.span();
+                    let verdicts: Vec<bool> = evaluators
+                        .iter()
+                        .map(|ev| ev.accepts_with(&ts, &device, scratch))
+                        .collect();
+                    obs.record_ns("sweep/scalar/evaluate_ns", span.elapsed_ns());
+                    (draw.bin, verdicts)
+                })
+            };
+            run_units(config.workers, units, ScratchSpace::new, eval, |_, result| match result {
+                Ok(Some((bin, verdicts))) => tally.record(bin, |e| verdicts[e]),
+                Ok(None) => tally.exhausted += 1,
+                Err(_) => tally.failed += 1,
+            })
+        }
+    };
     tally.into_outcome(config, evaluators, workers)
 }
 
-/// Bit of evaluator `e` in a [`SampleMask`].
-fn mask_bit(e: usize) -> u8 {
-    1u8 << e
-}
-
-/// Accumulated per-bin per-evaluator counts; summation is
-/// order-independent, and results arrive in submission order anyway.
+/// Accumulated per-bin per-evaluator counts; results arrive in unit
+/// order, and summation would not care anyway.
 struct SweepTally {
     /// `counts[bin][evaluator] = (samples, accepted)`.
     counts: Vec<Vec<(usize, usize)>>,
@@ -390,21 +340,12 @@ impl SweepTally {
         SweepTally { counts: vec![vec![(0, 0); n_eval]; n_bins], exhausted: 0, failed: 0 }
     }
 
-    fn record(&mut self, bin: usize, mask: u8) {
+    /// Count one sample of `bin`, evaluator `e` accepting iff
+    /// `accepted(e)`.
+    fn record(&mut self, bin: usize, accepted: impl Fn(usize) -> bool) {
         for (e, cell) in self.counts[bin].iter_mut().enumerate() {
             cell.0 += 1;
-            if mask & mask_bit(e) != 0 {
-                cell.1 += 1;
-            }
-        }
-    }
-
-    fn record_bools(&mut self, bin: usize, verdicts: &[bool]) {
-        for (cell, &ok) in self.counts[bin].iter_mut().zip(verdicts) {
-            cell.0 += 1;
-            if ok {
-                cell.1 += 1;
-            }
+            cell.1 += usize::from(accepted(e));
         }
     }
 
@@ -414,21 +355,15 @@ impl SweepTally {
         evaluators: &[Evaluator],
         workers: usize,
     ) -> PoolSweepOutcome {
-        if config.obs.enabled() {
-            // Per-bin/per-figure throughput counters, accumulated on the
-            // driving thread so they are deterministic by construction.
-            let obs = &config.obs;
-            let mut figure_samples = 0u64;
-            for (bin, cells) in self.counts.iter().enumerate() {
-                // Every evaluator sees every sample of the bin.
-                let samples = cells.first().map(|c| c.0 as u64).unwrap_or(0);
-                obs.add(&format!("sweep/bin{bin:02}/samples"), samples);
-                figure_samples += samples;
-            }
-            obs.add(&format!("sweep/figure/{}/samples", config.workload.id), figure_samples);
-            obs.add("sweep/exhausted_units", self.exhausted as u64);
-            obs.add("sweep/failed_units", self.failed as u64);
-        }
+        record_population(
+            &config.obs,
+            "sweep",
+            config.workload.id,
+            // Every evaluator sees every sample of the bin.
+            self.counts.iter().map(|cells| cells.first().map_or(0, |c| c.0)),
+            self.exhausted,
+            self.failed,
+        );
         let series = evaluators
             .iter()
             .enumerate()
@@ -468,15 +403,15 @@ mod tests {
         config
     }
 
+    /// Chunk-size invariance is the driver's (`fpga_rt_pool::run_units`).
     #[test]
-    fn pool_sweep_is_worker_count_and_chunk_invariant() {
+    fn pool_sweep_is_worker_count_invariant() {
         let reference = run_pool_sweep(&tiny_config(1), &analysis_evaluators());
         for workers in [2, 4, 8] {
-            let mut config = tiny_config(workers);
-            config.chunk = 7;
-            let out = run_pool_sweep(&config, &analysis_evaluators());
+            let out = run_pool_sweep(&tiny_config(workers), &analysis_evaluators());
             assert_eq!(out.result, reference.result, "workers={workers}");
             assert_eq!(out.exhausted_units, reference.exhausted_units);
+            assert_eq!(out.workers, workers);
         }
     }
 

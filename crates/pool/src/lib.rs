@@ -1,8 +1,10 @@
 //! # fpga-rt-pool
 //!
 //! A deterministic **sharded worker pool** on plain `std::thread` + `mpsc`
-//! channels — the concurrency substrate shared by the `fpga-rt-service`
-//! session loop and the `fpga-rt-exp` parallel sweep engine.
+//! channels — the concurrency substrate of the online service's session
+//! loop, loadgen's in-process replay and, through [`run_units`], every
+//! offline population engine (the sweep, the conformance engine, the 2-D
+//! bridge and the 2-D study).
 //!
 //! The pool owns a fixed set of worker threads. Every submitted item
 //! carries a **shard key**; a shard is pinned to exactly one worker for the
@@ -21,6 +23,23 @@
 //!    byte-identical across worker counts and batch splits. (Handlers must
 //!    not smuggle in other nondeterminism — wall-clock time, global
 //!    counters, iteration order of shared maps.)
+//!
+//! ## The population driver
+//!
+//! An offline population is `n` independent units (a sampled taskset, a
+//! block of them, a 2-D draw). [`run_units`] runs them on one pool with one
+//! state value per worker (its scratch buffers), submits them in
+//! fixed-size chunks so memory stays flat, and hands each unit's
+//! [`ItemResult`] to the caller's fold **in unit order** — so whatever the
+//! fold accumulates is independent of the worker count.
+//!
+//! ```
+//! // Sum of squares over 0..100 on 3 workers; the state is unused scratch.
+//! let square = |_: &mut (), unit: usize| (unit * unit) as u64;
+//! let mut sum = 0u64;
+//! let workers = fpga_rt_pool::run_units(3, 100, || (), square, |_unit, r| sum += r.unwrap());
+//! assert_eq!((workers, sum), (3, 328_350));
+//! ```
 //!
 //! ## Example
 //!
@@ -69,11 +88,6 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// One shard, automatic worker count.
-    pub fn single_shard() -> Self {
-        PoolConfig { workers: 0, shards: 1 }
-    }
-
     /// The worker-thread count this configuration resolves to: explicit
     /// `workers`, or all available parallelism when `0`, never more than
     /// the shard count (extra workers would own no shard) and never less
@@ -259,39 +273,24 @@ impl<Req: Send + 'static, Resp: Send + 'static> ShardedPool<Req, Resp> {
         self.workers
     }
 
-    /// The shard count keys are reduced against.
-    pub fn shards(&self) -> u32 {
-        self.shards
-    }
-
-    /// Items submitted and not yet collected.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
     /// The worker that owns `shard` (after modulo reduction).
     fn worker_of(&self, shard: u32) -> usize {
         (shard as usize) % self.workers
     }
 
-    /// Stage one item for the shard's owning worker. Returns the item's
-    /// position within the current batch (0-based since the last
-    /// [`ShardedPool::collect`]). Items are not handed to workers until
-    /// [`ShardedPool::dispatch`] or [`ShardedPool::collect`].
-    pub fn submit(&mut self, shard: u32, req: Req) -> usize {
+    /// Stage one item for the shard's owning worker. Items are not handed
+    /// to workers until [`ShardedPool::collect`].
+    pub fn submit(&mut self, shard: u32, req: Req) {
         let shard = shard % self.shards;
         let seq = self.next_seq;
         self.next_seq += 1;
-        let position = self.in_flight;
         self.in_flight += 1;
         let worker = self.worker_of(shard);
         self.staged[worker].push((seq, shard, req));
-        position
     }
 
-    /// Hand all staged items to their workers (processing starts now;
-    /// [`ShardedPool::collect`] calls this implicitly).
-    pub fn dispatch(&mut self) -> Result<(), PoolDisconnected> {
+    /// Hand all staged items to their workers.
+    fn dispatch(&mut self) -> Result<(), PoolDisconnected> {
         let stamp = if self.stamp_queue { Some(Instant::now()) } else { None };
         for (worker, jobs) in self.staged.iter_mut().enumerate() {
             if !jobs.is_empty() {
@@ -355,6 +354,75 @@ impl<Req, Resp> Drop for ShardedPool<Req, Resp> {
             let _ = handle.join();
         }
     }
+}
+
+/// Most workers [`run_units`] starts: an explicit request above it, or
+/// more available cores, resolve to this many.
+const MAX_UNIT_WORKERS: u32 = 256;
+
+/// Units [`run_units`] submits per pool batch: a population of a few
+/// thousand units is one or a few collect rounds, and the results in
+/// flight stay bounded for any population. Outputs never depend on it.
+const UNIT_CHUNK: usize = 1024;
+
+/// Run units `0..n` on `workers` threads (`0` = every available core) and
+/// hand each unit's result to `fold` **in unit order**; returns the
+/// resolved worker count.
+///
+/// Each worker builds one `state()` on its first unit and passes it to
+/// every `eval(state, unit)` it runs — scratch buffers, never anything a
+/// result may depend on, since which units share a worker depends on the
+/// worker count. A panicking `eval` reaches `fold` as that unit's
+/// [`ItemPanic`]; the other units keep going. Units are submitted in
+/// fixed-size chunks, so memory stays flat however large `n` is, and what
+/// `fold` sees is independent of the worker count.
+pub fn run_units<S, R>(
+    workers: usize,
+    n: usize,
+    state: impl Fn() -> S + Send + Sync + 'static,
+    eval: impl Fn(&mut S, usize) -> R + Send + Sync + 'static,
+    fold: impl FnMut(usize, ItemResult<R>),
+) -> usize
+where
+    S: 'static,
+    R: Send + 'static,
+{
+    run_units_in_chunks(workers, n, UNIT_CHUNK, state, eval, fold)
+}
+
+/// [`run_units`] with an explicit chunk size.
+fn run_units_in_chunks<S, R>(
+    workers: usize,
+    n: usize,
+    chunk: usize,
+    state: impl Fn() -> S + Send + Sync + 'static,
+    eval: impl Fn(&mut S, usize) -> R + Send + Sync + 'static,
+    mut fold: impl FnMut(usize, ItemResult<R>),
+) -> usize
+where
+    S: 'static,
+    R: Send + 'static,
+{
+    let workers = PoolConfig { workers, shards: MAX_UNIT_WORKERS }.effective_workers();
+    // One shard per worker: a worker's one state is its shard's state.
+    let mut pool: ShardedPool<usize, R> = ShardedPool::new(
+        PoolConfig { workers, shards: workers as u32 },
+        move |_shard| state(),
+        move |state, _shard, unit| eval(state, unit),
+    );
+    let mut start = 0;
+    while start < n {
+        let end = (start + chunk).min(n);
+        for unit in start..end {
+            pool.submit((unit % workers) as u32, unit);
+        }
+        let results = pool.collect().expect("pool workers cannot die: panics are contained");
+        for (unit, result) in (start..end).zip(results) {
+            fold(unit, result);
+        }
+        start = end;
+    }
+    workers
 }
 
 #[cfg(test)]
@@ -486,5 +554,62 @@ mod tests {
         assert_eq!(out[0], Ok(10));
         assert!(out[1].as_ref().unwrap_err().message.contains("factory refuses"));
         assert_eq!(out[2], Ok(12));
+    }
+
+    /// The driver's contract: every unit reaches the fold exactly once, in
+    /// unit order, with the same result for any worker count and chunk
+    /// size; a panic is that unit's error; each worker builds one state.
+    #[test]
+    fn run_units_folds_in_unit_order_for_any_workers_and_chunk() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let run = |workers: usize, chunk: usize| {
+            let states = Arc::new(AtomicUsize::new(0));
+            let built = Arc::clone(&states);
+            let mut seen = Vec::new();
+            let resolved = run_units_in_chunks(
+                workers,
+                50,
+                chunk,
+                move || {
+                    built.fetch_add(1, Ordering::SeqCst);
+                    0u64
+                },
+                |calls: &mut u64, unit| {
+                    *calls += 1;
+                    assert!(unit % 17 != 3, "unit {unit} explodes");
+                    (unit as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7
+                },
+                |unit, result| seen.push((unit, result)),
+            );
+            assert_eq!(resolved, workers);
+            assert!(states.load(Ordering::SeqCst) <= workers, "one state per worker");
+            seen
+        };
+        let reference = run(1, 50);
+        let units: Vec<usize> = reference.iter().map(|(unit, _)| *unit).collect();
+        assert_eq!(units, (0..50).collect::<Vec<_>>());
+        for (unit, result) in &reference {
+            match result {
+                Err(panic) => {
+                    assert_eq!(unit % 17, 3);
+                    assert!(panic.message.contains(&format!("unit {unit} explodes")));
+                }
+                Ok(_) => assert_ne!(unit % 17, 3),
+            }
+        }
+        for workers in [1, 2, 4] {
+            for chunk in [1, 7, 50, UNIT_CHUNK] {
+                assert_eq!(run(workers, chunk), reference, "workers={workers} chunk={chunk}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_units_resolves_zero_workers_to_every_core() {
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let workers = run_units(0, 3, || (), |(), unit| unit, |_, _| {});
+        assert_eq!(workers, cores.min(MAX_UNIT_WORKERS as usize));
+        // An empty population still reports its workers.
+        assert_eq!(run_units(2, 0, || (), |(), unit| unit, |_, _| unreachable!()), 2);
     }
 }
