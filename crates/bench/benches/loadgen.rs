@@ -4,10 +4,10 @@
 //!
 //! Synthesis and replay are benched separately so a regression report
 //! says *which* stage moved: synthesis is single-threaded RNG work, the
-//! replay row covers the session shards, controllers, and stats
-//! aggregation (run single-worker and deterministic here, so the row
-//! measures the code, not the scheduler). The histogram row bounds the
-//! per-sample overhead the latency numbers themselves carry.
+//! replay row covers the per-session controllers and stats aggregation
+//! (run deterministic here, on the calling thread like every replay). The
+//! histogram row bounds the per-sample overhead the latency numbers
+//! themselves carry.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpga_rt_loadgen::{run, synthesize, ArrivalProfile, LatencyHistogram, LoadConfig, LoadSpec};
@@ -38,7 +38,6 @@ fn bench_replay(c: &mut Criterion) {
             ops: OPS,
             sessions: 16,
             columns: 100,
-            workers: 1,
             deterministic: true,
             ..LoadConfig::default()
         };

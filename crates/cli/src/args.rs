@@ -30,8 +30,9 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse from any iterator of argument strings.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+    /// Parse from any iterator of argument strings. A flag given twice is
+    /// a usage error: keeping either value would silently drop the other.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Args::default();
         let mut iter = args.into_iter().peekable();
         while let Some(a) = iter.next() {
@@ -40,12 +41,14 @@ impl Args {
                     Some(v) if !v.starts_with("--") => iter.next().unwrap_or_default(),
                     _ => String::new(),
                 };
-                out.flags.insert(key.to_string(), value);
+                if out.flags.insert(key.to_string(), value).is_some() {
+                    return Err(format!("--{key} is given twice (give each flag once)"));
+                }
             } else {
                 out.positional.push(a);
             }
         }
-        out
+        Ok(out)
     }
 
     /// `true` when `--key` was present (with or without a value).
@@ -265,7 +268,7 @@ mod tests {
     use super::*;
 
     fn args(line: &[&str]) -> Args {
-        Args::from_args(line.iter().map(|s| s.to_string()))
+        Args::from_args(line.iter().map(|s| s.to_string())).unwrap()
     }
 
     #[test]
@@ -277,6 +280,11 @@ mod tests {
         // A flag followed by a flag has an empty value.
         assert_eq!(a.flags.get("pretty").map(String::as_str), Some(""));
         assert_eq!(seed(&a, 0).unwrap(), 7);
+        // A repeated flag is refused, whatever its values.
+        for line in [&["--seed", "1", "--seed", "2"][..], &["--pretty", "--pretty"]] {
+            let err = Args::from_args(line.iter().map(|s| s.to_string())).unwrap_err();
+            assert!(err.starts_with(&format!("{} is given twice", line[0])), "{err}");
+        }
     }
 
     /// The shared parsers reject each bad form once, centrally —

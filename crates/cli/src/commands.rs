@@ -631,13 +631,14 @@ pub fn client(args: &Args, out: &mut dyn Write) -> CmdResult {
 
 /// `fpga-rt loadgen` — the traffic-shaped load generator: synthesize
 /// deterministic arrival streams (Poisson, bursty on/off, adversarial
-/// knife-edge) across many logical sessions, replay them against
-/// in-process admission controllers on the shared worker pool, and report
-/// p50/p99/p999/max latency plus per-tier decision counts.
+/// knife-edge) across many logical sessions, replay them in order on this
+/// thread against one in-process admission controller per session, and
+/// report p50/p99/p999/max latency plus per-tier decision counts.
 ///
-/// Under `--deterministic` the latency columns are zeroed and stdout plus
-/// the `--out` artifact are byte-identical for every `--workers` value at
-/// a fixed seed (asserted in tests and byte-diffed in CI).
+/// Under `--deterministic` the latency columns are zeroed, so stdout and
+/// the `--out` and `--metrics-out` artifacts are byte-identical from run
+/// to run at a fixed seed; CI and `tests/engine_golden.rs` diff them
+/// against the goldens under `crates/cli/testdata/loadgen/`.
 pub fn loadgen(args: &Args, out: &mut dyn Write) -> CmdResult {
     use fpga_rt_loadgen::{run_soak_with_obs, run_with_obs, ArrivalProfile, LoadConfig};
     accept_only_known_flags("loadgen", args)?;
@@ -661,7 +662,6 @@ pub fn loadgen(args: &Args, out: &mut dyn Write) -> CmdResult {
     config.rounds = positive_count(args, "rounds")?
         .unwrap_or(config.rounds as usize)
         .min(u32::MAX as usize) as u32;
-    config.workers = positive_count(args, "workers")?.unwrap_or(0);
     config.seed = seed(args, DEFAULT_SEED)?;
     config.deterministic = args.has("deterministic");
     config.cache = cache_entries(args)?;
@@ -710,7 +710,6 @@ fn loadgen_socket(args: &Args, out: &mut dyn Write) -> CmdResult {
         "ops",
         "rounds",
         "soak",
-        "workers",
         "columns",
         "sessions",
         "cache",
@@ -752,7 +751,7 @@ mod tests {
     }
 
     fn args(line: &[&str]) -> Args {
-        Args::from_args(line.iter().map(|s| s.to_string()))
+        Args::from_args(line.iter().map(|s| s.to_string())).unwrap()
     }
 
     #[test]
@@ -968,7 +967,7 @@ mod tests {
                 .collect();
         let server = std::thread::spawn(move || {
             let mut buf = Vec::new();
-            let code = serve(&Args::from_args(server_argv), &mut buf);
+            let code = serve(&Args::from_args(server_argv).unwrap(), &mut buf);
             (code, buf)
         });
         let mut client_out = Vec::new();
@@ -1022,45 +1021,29 @@ mod tests {
         assert_eq!(json.series.len(), 4, "DP, GN1, GN2, AnyOf");
     }
 
-    /// The loadgen acceptance criterion: under `--deterministic`, stdout
-    /// and the `--out` artifact are byte-identical for `--workers 1` and
-    /// `--workers 4` at a fixed seed, and every latency column is zeroed.
+    /// Under `--deterministic` loadgen runs every profile by default,
+    /// writes a valid `LoadReport` and zeroes every latency column (the
+    /// bytes are pinned by `tests/engine_golden.rs`).
     #[test]
-    fn loadgen_output_is_byte_identical_across_worker_counts() {
+    fn loadgen_deterministic_output_is_zeroed() {
         let dir = std::env::temp_dir().join("fpga-rt-cli-cmds");
         std::fs::create_dir_all(&dir).unwrap();
-        let mut transcripts = Vec::new();
-        for workers in ["1", "4"] {
-            let path = dir.join(format!("loadgen-w{workers}.json"));
-            let out_path = path.to_string_lossy().into_owned();
-            let mut buf = Vec::new();
-            let code = loadgen(
-                &args(&[
-                    "--ops",
-                    "400",
-                    "--sessions",
-                    "8",
-                    "--columns",
-                    "32",
-                    "--seed",
-                    "7",
-                    "--deterministic",
-                    "--workers",
-                    workers,
-                    "--out",
-                    &out_path,
-                ]),
-                &mut buf,
-            )
-            .unwrap();
-            assert_eq!(code, ExitCode::Accepted);
-            transcripts.push((String::from_utf8(buf).unwrap(), std::fs::read(&path).unwrap()));
-        }
-        assert_eq!(transcripts[0].0, transcripts[1].0, "stdout differs across workers");
-        assert_eq!(transcripts[0].1, transcripts[1].1, "--out JSON differs across workers");
-        assert!(transcripts[0].0.contains("adversarial"), "all profiles run by default");
+        let path = dir.join("loadgen-deterministic.json");
+        let out_path = path.to_string_lossy().into_owned();
+        let mut buf = Vec::new();
+        let line = ["--ops", "400", "--sessions", "8", "--columns", "32", "--seed", "7"];
+        let code = loadgen(
+            &args(&[&line[..], &["--deterministic", "--out", &out_path]].concat()),
+            &mut buf,
+        )
+        .unwrap();
+        assert_eq!(code, ExitCode::Accepted);
+        assert!(
+            String::from_utf8(buf).unwrap().contains("adversarial"),
+            "all profiles run by default"
+        );
         let json: fpga_rt_loadgen::LoadReport =
-            serde_json::from_str(&String::from_utf8(transcripts[0].1.clone()).unwrap())
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap())
                 .expect("valid LoadReport JSON");
         assert_eq!(json.schema, fpga_rt_loadgen::SCHEMA);
         assert_eq!(json.profiles.len(), 3, "poisson, bursty, adversarial");
@@ -1069,13 +1052,15 @@ mod tests {
         }
     }
 
-    /// Loadgen flag validation: unknown profiles and `--soak` combined
-    /// with `--deterministic` are usage errors; a CSV `--out` renders the
-    /// documented header.
+    /// Loadgen flag validation: unknown profiles, `--soak` combined with
+    /// `--deterministic` and `--workers` (the replay has no pool) are
+    /// usage errors; a CSV `--out` renders the documented header.
     #[test]
     fn loadgen_flags_are_validated() {
         let err = loadgen(&args(&["--profile", "zzz"]), &mut Vec::new()).unwrap_err();
         assert!(err.contains("unknown profile"), "{err}");
+        let err = loadgen(&args(&["--workers", "2"]), &mut Vec::new()).unwrap_err();
+        assert!(err.starts_with("--workers is not a loadgen flag ("), "{err}");
         let err = loadgen(&args(&["--deterministic", "--soak", "1"]), &mut Vec::new()).unwrap_err();
         assert!(err.contains("--soak"), "{err}");
         let err = loadgen(&args(&["--columns", "4"]), &mut Vec::new()).unwrap_err();
@@ -1134,8 +1119,9 @@ mod tests {
                 .iter()
                 .map(|s| s.to_string())
                 .collect();
-        let server =
-            std::thread::spawn(move || serve(&Args::from_args(server_argv), &mut Vec::new()));
+        let server = std::thread::spawn(move || {
+            serve(&Args::from_args(server_argv).unwrap(), &mut Vec::new())
+        });
         let mut buf = Vec::new();
         let code = loadgen(&args(&["--target", &uri, "--conns", "8", "--requests", "6"]), &mut buf)
             .unwrap();
@@ -1434,11 +1420,11 @@ mod tests {
         assert!(err.contains("1-D mode"), "{err}");
     }
 
-    /// The tentpole's CLI acceptance criterion: for every instrumented
-    /// subcommand, the deterministic `--metrics-out` artifact (JSON and
-    /// text renderings) is byte-identical for `--workers 1` vs `4`, and
-    /// the JSON names the `fpga-rt-obs/1` schema plus the subcommand's
-    /// signature counters.
+    /// For every pool-backed instrumented subcommand, the deterministic
+    /// `--metrics-out` artifact (JSON and text renderings) is
+    /// byte-identical for `--workers 1` vs `4`, and the JSON names the
+    /// `fpga-rt-obs/1` schema plus the subcommand's signature counters.
+    /// Loadgen, which has no workers, is pinned by `tests/engine_golden.rs`.
     #[test]
     fn metrics_artifacts_are_byte_identical_across_workers() {
         let dir = std::env::temp_dir().join("fpga-rt-cli-cmds");
@@ -1459,7 +1445,7 @@ mod tests {
         )
         .unwrap();
         let input = session.to_string_lossy().into_owned();
-        let cases: [(&str, &[&str], &str); 4] = [
+        let cases: [(&str, &[&str], &str); 3] = [
             (
                 "serve",
                 &[
@@ -1475,24 +1461,6 @@ mod tests {
                     &input,
                 ],
                 "admission/decisions",
-            ),
-            (
-                "loadgen",
-                &[
-                    "loadgen",
-                    "--profile",
-                    "adversarial",
-                    "--ops",
-                    "120",
-                    "--sessions",
-                    "4",
-                    "--columns",
-                    "16",
-                    "--seed",
-                    "7",
-                    "--deterministic",
-                ],
-                "loadgen/adversarial/ops",
             ),
             (
                 "sweep",

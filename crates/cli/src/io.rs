@@ -63,11 +63,11 @@ mod tests {
 
     #[test]
     fn device_flag_validation() {
-        let args = Args::from_args(["--columns", "10"].iter().map(|s| s.to_string()));
+        let args = Args::from_args(["--columns", "10"].iter().map(|s| s.to_string())).unwrap();
         assert_eq!(device_from(&args).unwrap().columns(), 10);
-        let args = Args::from_args(std::iter::empty());
+        let args = Args::from_args(std::iter::empty()).unwrap();
         assert!(device_from(&args).unwrap_err().contains("is required"));
-        let args = Args::from_args(["--columns", "1O"].iter().map(|s| s.to_string()));
+        let args = Args::from_args(["--columns", "1O"].iter().map(|s| s.to_string())).unwrap();
         assert!(device_from(&args).unwrap_err().contains("positive integer"));
     }
 }

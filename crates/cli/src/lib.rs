@@ -31,76 +31,90 @@ pub fn run(args: &[String], out: &mut dyn Write) -> ExitCode {
     let Some((cmd, rest)) = args.split_first() else {
         return ExitCode::Error(usage());
     };
-    let parsed = Args::from_args(rest.iter().cloned());
-    let result = match cmd.as_str() {
-        "check" => commands::check(&parsed, out),
-        "simulate" => commands::simulate(&parsed, out),
-        "size" => commands::size(&parsed, out),
-        "generate" => commands::generate(&parsed, out),
-        "tables" => commands::tables(&parsed, out),
-        "sweep" => commands::sweep(&parsed, out),
-        "study" => commands::study(&parsed, out),
-        "conform" => commands::conform(&parsed, out),
-        "serve" => commands::serve(&parsed, out),
-        "client" => commands::client(&parsed, out),
-        "loadgen" => commands::loadgen(&parsed, out),
+    let command: fn(&Args, &mut dyn Write) -> Result<ExitCode, String> = match cmd.as_str() {
+        "check" => commands::check,
+        "simulate" => commands::simulate,
+        "size" => commands::size,
+        "generate" => commands::generate,
+        "tables" => commands::tables,
+        "sweep" => commands::sweep,
+        "study" => commands::study,
+        "conform" => commands::conform,
+        "serve" => commands::serve,
+        "client" => commands::client,
+        "loadgen" => commands::loadgen,
         "help" | "--help" | "-h" => {
             let _ = writeln!(out, "{}", usage());
-            Ok(ExitCode::Accepted)
+            return ExitCode::Accepted;
         }
-        other => Err(format!("unknown command {other:?}\n{}", usage())),
+        other => return ExitCode::Error(format!("unknown command {other:?}\n{}", usage())),
     };
-    match result {
+    match Args::from_args(rest.iter().cloned()).and_then(|parsed| command(&parsed, out)) {
         Ok(code) => code,
         Err(msg) => ExitCode::Error(msg),
     }
 }
 
-/// Every subcommand and the flags it accepts: the flags [`usage`] lists
+/// Every subcommand, the flags it accepts that take a value, and its
+/// switches (flags that take none): together the flags [`usage`] lists
 /// for it, nothing else.
-const COMMAND_FLAGS: [(&str, &str); 11] = [
-    ("check", "taskset columns test exact verbose"),
-    ("simulate", "taskset columns scheduler horizon placement overhead-per-column trace"),
-    ("size", "taskset max exact"),
-    ("generate", "n seed figure pretty"),
-    ("tables", ""),
-    ("sweep", "figure bins per-bin workers seed out deterministic metrics-out"),
-    ("study", "figure per-bin seed workers sim-horizon"),
+const COMMAND_FLAGS: [(&str, &str, &str); 11] = [
+    ("check", "taskset columns test", "exact verbose"),
+    ("simulate", "taskset columns scheduler horizon placement overhead-per-column", "trace"),
+    ("size", "taskset max", "exact"),
+    ("generate", "n seed figure", "pretty"),
+    ("tables", "", ""),
+    ("sweep", "figure bins per-bin workers seed out metrics-out", "deterministic"),
+    ("study", "figure per-bin seed workers sim-horizon", ""),
     (
         "conform",
-        "figure bins per-bin sim-horizon workers seed out deterministic metrics-out \
-         twod samples",
+        "figure bins per-bin sim-horizon workers seed out metrics-out samples",
+        "deterministic twod",
     ),
     (
         "serve",
         "columns shards workers batch sessions cache exact-margin listen conns input \
-         deterministic metrics-out",
+         metrics-out",
+        "deterministic",
     ),
-    ("client", "connect input"),
+    ("client", "connect input", ""),
     (
         "loadgen",
-        "profile ops sessions columns rounds workers seed soak cache deterministic out \
-         metrics-out target conns requests",
+        "profile ops sessions columns rounds seed soak cache out metrics-out target conns \
+         requests",
+        "deterministic",
     ),
 ];
 
-/// Refuse any flag `command` does not accept — a usage error (exit 2),
-/// because a misspelled flag (`--per_bin 2`) would otherwise silently run
-/// the default. Every subcommand calls this before it reads a flag.
+/// Refuse a command line `command` would misread — a usage error (exit
+/// 2), because each would otherwise silently run something else: a flag
+/// the command does not accept (`--per_bin 2` would run the default), a
+/// positional word (only `study` takes one, its name), and a word after a
+/// switch (`--deterministic fig4b`). Every subcommand calls this before it
+/// reads a flag.
 pub(crate) fn accept_only_known_flags(command: &str, args: &Args) -> Result<(), String> {
-    let (_, known) = COMMAND_FLAGS
+    let (_, values, switches) = COMMAND_FLAGS
         .iter()
-        .find(|(name, _)| *name == command)
+        .find(|(name, ..)| *name == command)
         .expect("every subcommand lists its flags");
-    let known: Vec<&str> = known.split_whitespace().collect();
-    let Some(flag) = args.flags.keys().filter(|k| !known.contains(&k.as_str())).min() else {
-        return Ok(());
-    };
-    Err(if known.is_empty() {
-        format!("--{flag} is not a {command} flag ({command} takes no flags)")
-    } else {
-        format!("--{flag} is not a {command} flag (--{})", known.join(", --"))
-    })
+    let known: Vec<&str> = values.split_whitespace().chain(switches.split_whitespace()).collect();
+    if let Some(flag) = args.flags.keys().filter(|k| !known.contains(&k.as_str())).min() {
+        return Err(if known.is_empty() {
+            format!("--{flag} is not a {command} flag ({command} takes no flags)")
+        } else {
+            format!("--{flag} is not a {command} flag (--{})", known.join(", --"))
+        });
+    }
+    if let Some(word) = args.positional.first().filter(|_| command != "study") {
+        return Err(format!("unexpected argument {word:?} ({command} takes only --flags)"));
+    }
+    let valued_switch = switches
+        .split_whitespace()
+        .find_map(|s| args.flags.get(s).filter(|v| !v.is_empty()).map(|v| (s, v)));
+    match valued_switch {
+        Some((switch, word)) => Err(format!("--{switch} takes no value, got {word:?}")),
+        None => Ok(()),
+    }
 }
 
 /// One-screen usage text.
@@ -146,17 +160,18 @@ pub fn usage() -> String {
      \x20           (stream JSONL requests to a serve listener, half-close,\n\
      \x20           and print the response transcript to stdout)\n\
      \x20 loadgen   [--profile poisson|bursty|adversarial|all] [--ops N] [--sessions K]\n\
-     \x20           [--columns N] [--rounds R] [--workers W] [--seed S] [--soak SECS]\n\
+     \x20           [--columns N] [--rounds R] [--seed S] [--soak SECS]\n\
      \x20           [--cache ENTRIES|off] [--deterministic] [--out FILE.json|FILE.csv]\n\
      \x20           [--metrics-out FILE.json|FILE.txt]\n\
      \x20           [--target tcp://HOST:PORT|unix://PATH [--conns N] [--requests M]]\n\
      \x20           (traffic-shaped load generator with p50/p99/p999 latency\n\
-     \x20           histograms; --deterministic output is byte-identical for\n\
-     \x20           any --workers; --metrics-out exports the fpga-rt-obs/1\n\
-     \x20           telemetry snapshot, available on sweep/conform/serve too;\n\
-     \x20           --target switches to the socket client mode, driving a\n\
-     \x20           running serve listener over N concurrent connections and\n\
-     \x20           exiting nonzero on any dropped or reordered response)"
+     \x20           histograms; --deterministic zeroes the latencies, so the\n\
+     \x20           output is byte-identical from run to run; --metrics-out\n\
+     \x20           exports the fpga-rt-obs/1 telemetry snapshot, available on\n\
+     \x20           sweep/conform/serve too; --target switches to the socket\n\
+     \x20           client mode, driving a running serve listener over N\n\
+     \x20           concurrent connections and exiting nonzero on any dropped\n\
+     \x20           or reordered response)"
         .to_string()
 }
 
@@ -221,9 +236,9 @@ mod tests {
     #[test]
     fn accepted_flags_match_usage() {
         let text = usage();
-        for (i, (command, flags)) in COMMAND_FLAGS.iter().enumerate() {
+        for (i, (command, values, switches)) in COMMAND_FLAGS.iter().enumerate() {
             let entry = |name: &str| text.find(&format!("  {name} ")).expect("listed in usage");
-            let end = COMMAND_FLAGS.get(i + 1).map_or(text.len(), |(next, _)| entry(next));
+            let end = COMMAND_FLAGS.get(i + 1).map_or(text.len(), |(next, ..)| entry(next));
             let mut listed: Vec<String> = text[entry(command)..end]
                 .split("--")
                 .skip(1)
@@ -233,33 +248,51 @@ mod tests {
                 .collect();
             listed.sort();
             listed.dedup();
-            let mut known: Vec<&str> = flags.split_whitespace().collect();
+            let mut known: Vec<&str> =
+                values.split_whitespace().chain(switches.split_whitespace()).collect();
             known.sort();
             assert_eq!(listed, known, "{command}");
         }
     }
 
-    /// A misspelled flag is a usage error naming the command's flags, for
-    /// every command — never a silent default.
+    /// Each command line a command would misread is a usage error naming
+    /// the offending flag or word, for every command — never a silent
+    /// default: a misspelled flag, a flag given twice, a positional word
+    /// (`study` takes exactly one, its name) and a word after a switch.
     #[test]
     fn every_command_refuses_a_misspelled_flag() {
-        for (command, flags) in COMMAND_FLAGS {
-            let typo = match flags.split_whitespace().find(|f| f.contains('-')) {
+        for (command, values, switches) in COMMAND_FLAGS {
+            let flags = || values.split_whitespace().chain(switches.split_whitespace());
+            let typo = match flags().find(|f| f.contains('-')) {
                 Some(flag) => flag.replace('-', "_"),
-                None => {
-                    flags.split_whitespace().next().map_or("verbose".into(), |f| format!("{f}s"))
-                }
+                None => flags().next().map_or("verbose".into(), |f| format!("{f}s")),
             };
-            let mut line = vec![command];
-            if command == "study" {
-                line.push("twod");
+            let name: &[&str] = if command == "study" { &["twod"] } else { &[] };
+            let typo = format!("--{typo}");
+            let flag = format!("--{}", flags().next().unwrap_or("verbose"));
+            let mut cases = vec![
+                (vec![typo.as_str(), "2"], format!("{typo} is not a {command} flag (")),
+                (vec![&flag, "2", &flag, "2"], format!("{flag} is given twice")),
+                if command == "study" {
+                    (vec!["fig4b"], "study expects exactly one name".to_string())
+                } else {
+                    (vec!["fig4b"], format!("unexpected argument \"fig4b\" ({command} takes"))
+                },
+            ];
+            let switch = switches.split_whitespace().next().map(|s| format!("--{s}"));
+            if let Some(switch) = &switch {
+                cases.push((
+                    vec![switch, "fig4b"],
+                    format!("{switch} takes no value, got \"fig4b\""),
+                ));
             }
-            let flag = format!("--{typo}");
-            line.extend([flag.as_str(), "2"]);
-            let (code, out) = run_str(&line);
-            let ExitCode::Error(msg) = code else { panic!("{line:?} ran: {code:?}") };
-            assert!(msg.starts_with(&format!("{flag} is not a {command} flag (")), "{msg}");
-            assert!(out.is_empty(), "{line:?} wrote {out}");
+            for (tail, expected) in cases {
+                let line = [&[command][..], name, &tail].concat();
+                let (code, out) = run_str(&line);
+                let ExitCode::Error(msg) = code else { panic!("{line:?} ran: {code:?}") };
+                assert!(msg.starts_with(&expected), "{line:?}: {msg}");
+                assert!(out.is_empty(), "{line:?} wrote {out}");
+            }
         }
     }
 }

@@ -1,13 +1,20 @@
 //! Golden transcripts of the population engines, checked in-process at one
-//! and four pool workers (CI diffs the built binary against the same
-//! files):
+//! and four pool workers, and of loadgen's replay (CI diffs the built
+//! binary against the same files):
 //!
 //! * `sweep --figure fig3a --bins 3 --per-bin 8 --seed 7` — stdout, the
 //!   `--out` JSON and the `--deterministic --metrics-out` JSON;
 //! * `conform --figure fig3a --bins 3 --per-bin 8 --sim-horizon 25
 //!   --seed 7` — the same three;
 //! * `conform --twod --samples 500 --bins 10 --seed 20070326` — stdout and
-//!   the `--out` JSON.
+//!   the `--out` JSON;
+//! * `loadgen --ops 2000 --sessions 8 --columns 32 --seed 7
+//!   --deterministic` — stdout, the `--out` JSON and CSV, and the
+//!   `--metrics-out` JSON and text.
+//!
+//! CI also diffs `loadgen --ops 8000 --sessions 32 --columns 100 --rounds 2
+//! --seed 20070326 --deterministic` (stdout and the `--out` JSON) against
+//! `testdata/loadgen/large.*`.
 //!
 //! Deterministic metrics zero every timed value and carry
 //! `"runner": "deterministic"`, so none of these files depends on the
@@ -23,23 +30,31 @@
 //!     --metrics-out $T/conform/fig3a.metrics.json > $T/conform/fig3a.txt
 //! $B conform --twod --samples 500 --bins 10 --seed 20070326 \
 //!     --out $T/conform/twod.json > $T/conform/twod.txt
+//! L="$B loadgen --ops 2000 --sessions 8 --columns 32 --seed 7 --deterministic"
+//! $L --out $T/loadgen/small.json --metrics-out $T/loadgen/small.metrics.json \
+//!     > $T/loadgen/small.txt
+//! $L --out $T/loadgen/small.csv --metrics-out $T/loadgen/small.metrics.txt
+//! $B loadgen --ops 8000 --sessions 32 --columns 100 --rounds 2 \
+//!     --seed 20070326 --deterministic --out $T/loadgen/large.json \
+//!     > $T/loadgen/large.txt
 //! ```
 
 use fpga_rt_cli::{run, ExitCode};
 use std::path::PathBuf;
 
-/// Run `line` plus `--workers W --out … [--metrics-out …]` and return
-/// stdout, the `--out` file and, when `metrics` is set, the metrics file.
-fn artifacts(name: &str, line: &[&str], workers: &str, metrics: bool) -> [String; 3] {
-    let dir = std::env::temp_dir()
-        .join(format!("fpga-rt-engine-golden-{}-{name}-w{workers}", std::process::id()));
+/// Run `line` plus `--out out.<out>` and, when `metrics` names an
+/// extension, `--deterministic --metrics-out metrics.<metrics>`; return
+/// stdout, the `--out` file and the metrics file (empty when not asked).
+fn artifacts(name: &str, line: &[&str], out: &str, metrics: Option<&str>) -> [String; 3] {
+    let dir =
+        std::env::temp_dir().join(format!("fpga-rt-engine-golden-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = |file: &str| -> PathBuf { dir.join(file) };
-    let (out_path, metrics_path) = (path("out.json"), path("metrics.json"));
+    let out_path = dir.join(format!("out.{out}"));
+    let metrics_path = dir.join(format!("metrics.{}", metrics.unwrap_or("json")));
     let mut args: Vec<String> = line.iter().map(|s| s.to_string()).collect();
-    args.extend(["--workers", workers, "--out"].map(String::from));
+    args.push("--out".into());
     args.push(out_path.to_string_lossy().into_owned());
-    if metrics {
+    if metrics.is_some() {
         args.extend(["--deterministic", "--metrics-out"].map(String::from));
         args.push(metrics_path.to_string_lossy().into_owned());
     }
@@ -51,13 +66,19 @@ fn artifacts(name: &str, line: &[&str], workers: &str, metrics: bool) -> [String
     files
 }
 
+fn assert_golden(name: &str, got: [String; 3], golden: [&str; 3]) {
+    for ((got, want), what) in got.iter().zip(golden).zip(["stdout", "--out", "metrics"]) {
+        assert_eq!(got, want, "{name} {what}");
+    }
+}
+
+/// The population engines' goldens hold at one and four pool workers.
 fn check(name: &str, line: &[&str], golden: [&str; 3]) {
-    let metrics = !golden[2].is_empty();
+    let metrics = (!golden[2].is_empty()).then_some("json");
     for workers in ["1", "4"] {
-        let got = artifacts(name, line, workers, metrics);
-        for ((got, want), what) in got.iter().zip(golden).zip(["stdout", "--out", "metrics"]) {
-            assert_eq!(got, want, "{name} {what} at --workers {workers}");
-        }
+        let line = [line, &["--workers", workers]].concat();
+        let got = artifacts(&format!("{name}-w{workers}"), &line, "json", metrics);
+        assert_golden(&format!("{name} at --workers {workers}"), got, golden);
     }
 }
 
@@ -110,4 +131,34 @@ fn conform_twod_matches_golden() {
             "",
         ],
     );
+}
+
+/// Loadgen has no workers: one run per artifact format pair.
+#[test]
+fn loadgen_matches_golden() {
+    let line = ["loadgen", "--ops", "2000", "--sessions", "8", "--columns", "32", "--seed", "7"];
+    let stdout = include_str!("../testdata/loadgen/small.txt");
+    for (out, metrics, golden) in [
+        (
+            "json",
+            "json",
+            [
+                stdout,
+                include_str!("../testdata/loadgen/small.json"),
+                include_str!("../testdata/loadgen/small.metrics.json"),
+            ],
+        ),
+        (
+            "csv",
+            "txt",
+            [
+                stdout,
+                include_str!("../testdata/loadgen/small.csv"),
+                include_str!("../testdata/loadgen/small.metrics.txt"),
+            ],
+        ),
+    ] {
+        let name = format!("loadgen-{out}");
+        assert_golden(&name, artifacts(&name, &line, out, Some(metrics)), golden);
+    }
 }

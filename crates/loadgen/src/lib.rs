@@ -15,21 +15,18 @@
 //!    sessions), and `adversarial` (the paper's Table 1 knife-edge pair
 //!    scaled to the device, forcing the controller's exact `Rat64` tier on
 //!    every second admission).
-//! 2. [`run()`] — **replay** the stream against in-process
+//! 2. [`run()`] — **replay** the stream, in order and on the calling
+//!    thread, against in-process
 //!    [`AdmissionController`](fpga_rt_service::AdmissionController)s, one
-//!    per **named protocol session** (`s0`, `s1`, …), placed onto the
-//!    workspace's deterministic
-//!    [`ShardedPool`](fpga_rt_pool::ShardedPool) by the same
-//!    [`session_shard`](fpga_rt_service::session_shard) FNV-1a hash the
-//!    multi-tenant server routes v2 `session` ids with. Per-op latencies
-//!    land in
-//!    the workspace's HDR-style [`hist::LatencyHistogram`] (promoted to
-//!    `fpga-rt-obs` and re-exported here); decision and tier counts ride
-//!    the shared `fpga-rt-obs` registry snapshot.
+//!    per logical session, created on the session's first op. Each op is
+//!    timed around its controller call into the workspace's HDR-style
+//!    [`hist::LatencyHistogram`] (promoted to `fpga-rt-obs` and
+//!    re-exported here); decision and tier counts ride the shared
+//!    `fpga-rt-obs` registry snapshot.
 //! 3. [`report`] — **emit** the artifact: JSON
 //!    (schema `fpga-rt-loadgen-smoke/1`), CSV, and a stdout table, all
-//!    byte-identical across `--workers` under `--deterministic` (zeroed
-//!    latencies) — the same determinism contract as sweep and conform.
+//!    byte-identical from run to run under `--deterministic` (zeroed
+//!    latencies).
 //!
 //! A fourth, out-of-process mode — [`socket`] — speaks the wire protocol
 //! through real TCP / Unix-socket connections against a running

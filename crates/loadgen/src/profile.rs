@@ -6,8 +6,7 @@
 //! time. Synthesis is single-threaded and driven by one seeded
 //! [`rand::rngs::StdRng`], so the stream is a pure function of the spec:
 //! the same `(profile, ops, sessions, columns, seed)` always yields the
-//! same byte-for-byte stream, whatever machine or worker count later
-//! replays it.
+//! same byte-for-byte stream, whatever machine later replays it.
 //!
 //! Three traffic shapes:
 //!
@@ -91,8 +90,8 @@ pub enum OpKind {
 pub struct ArrivalOp {
     /// Arrival time in nanoseconds from stream start (non-decreasing).
     pub at_ns: u64,
-    /// Logical session index (becomes the named protocol session `s{k}`,
-    /// an independent controller on whatever shard its name hashes to).
+    /// Logical session index in `0..sessions`; the replay gives each
+    /// session its own controller.
     pub session: u32,
     /// The operation.
     pub kind: OpKind,

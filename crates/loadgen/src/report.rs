@@ -1,9 +1,9 @@
 //! The load-generator report: schema, JSON/CSV/text rendering.
 //!
 //! A [`LoadReport`] is the artifact of one `fpga-rt loadgen` run. It is
-//! designed to be **byte-identical across worker counts**: nothing in it
-//! records the worker count, the wall-clock time, or any other
-//! replay-environment detail — only the run's *budget* (the parameters
+//! designed to be **byte-identical from run to run** under
+//! `--deterministic`: nothing in it records the wall-clock time or any
+//! other replay-environment detail — only the run's *budget* (the parameters
 //! that define the synthesized streams), the per-profile outcome counts,
 //! and the latency summaries (all zeros under `--deterministic`).
 //!
@@ -153,8 +153,8 @@ impl LoadReport {
     }
 
     /// Render the human-readable summary table printed to stdout. Contains
-    /// nothing replay-environment-specific, so the CI smoke job can
-    /// byte-diff it across worker counts just like the JSON artifact.
+    /// nothing replay-environment-specific, so CI can byte-diff it against
+    /// a golden just like the JSON artifact.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

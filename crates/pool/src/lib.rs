@@ -2,9 +2,8 @@
 //!
 //! A deterministic **sharded worker pool** on plain `std::thread` + `mpsc`
 //! channels — the concurrency substrate of the online service's session
-//! loop, loadgen's in-process replay and, through [`run_units`], every
-//! offline population engine (the sweep, the conformance engine, the 2-D
-//! bridge and the 2-D study).
+//! loop and, through [`run_units`], of every offline population engine
+//! (the sweep, the conformance engine, the 2-D bridge and the 2-D study).
 //!
 //! The pool owns a fixed set of worker threads. Every submitted item
 //! carries a **shard key**; a shard is pinned to exactly one worker for the

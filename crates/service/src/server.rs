@@ -109,19 +109,22 @@ pub fn serve_session_with_obs(
 ) -> Result<(SessionStats, Snapshot), String> {
     let mut core = ServiceCore::new(config, obs)?;
     let conn = core.open();
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut eof = false;
     loop {
         // Fill one batch (a `stats` line may cut it early); the engine
         // answers parse failures and lifecycle decisions in request order.
+        // A line that is not UTF-8 is decoded lossily, as the socket
+        // framer does, so it is answered as malformed instead of ending
+        // the session.
         while !eof && !core.batch_ready() {
             line.clear();
-            let n = input.read_line(&mut line).map_err(|e| e.to_string())?;
+            let n = input.read_until(b'\n', &mut line).map_err(|e| e.to_string())?;
             if n == 0 {
                 eof = true;
                 break;
             }
-            core.submit(conn, &line)?;
+            core.submit(conn, &String::from_utf8_lossy(&line))?;
         }
         if core.batch_len() == 0 {
             break;

@@ -33,7 +33,7 @@
 //! disconnected the same way (`conn/idle_disconnects`). Shutdown (the
 //! [`SocketServer::shutdown_handle`] flag, or the
 //! [`TransportConfig::max_conns`] budget running out) stops accepting,
-//! serves what is already queued, drains outbound buffers within a
+//! serves what is already queued, drains outbound buffers within a 5 s
 //! grace period, then returns the same `(SessionStats, Snapshot)` the
 //! stdio driver does.
 //!
@@ -126,11 +126,6 @@ pub struct TransportConfig {
     /// return (`None` = keep accepting until shutdown). This is what
     /// gives scripted replays and CI a deterministic exit.
     pub max_conns: Option<usize>,
-    /// Sleep between poll passes when no socket made progress.
-    pub poll_interval: Duration,
-    /// How long shutdown waits for unread outbound bytes before
-    /// force-closing.
-    pub drain_grace: Duration,
 }
 
 impl Default for TransportConfig {
@@ -140,11 +135,16 @@ impl Default for TransportConfig {
             outbound_max_bytes: 4 << 20,
             idle_timeout: None,
             max_conns: None,
-            poll_interval: Duration::from_micros(200),
-            drain_grace: Duration::from_secs(5),
         }
     }
 }
+
+/// Sleep between poll passes when no socket made progress.
+const POLL_INTERVAL: Duration = Duration::from_micros(200);
+
+/// How long shutdown waits for unread outbound bytes before
+/// force-closing.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 enum Listener {
     Tcp(TcpListener),
@@ -487,7 +487,7 @@ impl SocketServer {
             // connections are served to their natural EOF.
             if self.shutdown.load(Ordering::Relaxed) {
                 let since = *draining_since.get_or_insert_with(Instant::now);
-                let force = since.elapsed() > cfg.drain_grace;
+                let force = since.elapsed() > DRAIN_GRACE;
                 for conn in conns.iter_mut() {
                     if conn.inbuf.len() == conn.scanned && (conn.queued_out() == 0 || force) {
                         conn.dead = true;
@@ -515,7 +515,7 @@ impl SocketServer {
                 break;
             }
             if !progress {
-                std::thread::sleep(cfg.poll_interval);
+                std::thread::sleep(POLL_INTERVAL);
             }
         }
 

@@ -19,9 +19,9 @@ pub fn golden_config(workers: usize) -> ServeConfig {
 
 /// The stdio driver's transcript for `input` — the byte-identity
 /// reference every socket replay is diffed against.
-pub fn stdio_transcript(input: &str, config: &ServeConfig) -> String {
+pub fn stdio_transcript(input: impl AsRef<[u8]>, config: &ServeConfig) -> String {
     let mut out = Vec::new();
-    serve_session(&mut input.as_bytes(), &mut out, config).expect("stdio replay");
+    serve_session(&mut input.as_ref(), &mut out, config).expect("stdio replay");
     String::from_utf8(out).expect("utf-8 transcript")
 }
 
@@ -51,10 +51,10 @@ pub fn start_server(
 
 /// Connect to `endpoint`, stream `input`, half-close, and read the full
 /// response transcript to EOF.
-pub fn replay_over_socket(endpoint: &Endpoint, input: &str) -> String {
+pub fn replay_over_socket(endpoint: &Endpoint, input: impl AsRef<[u8]>) -> String {
     let mut stream =
         ClientStream::connect_with_retry(endpoint, Duration::from_secs(5)).expect("connect");
-    stream.write_all(input.as_bytes()).expect("send requests");
+    stream.write_all(input.as_ref()).expect("send requests");
     stream.shutdown_write().expect("half-close");
     let mut transcript = String::new();
     stream.read_to_string(&mut transcript).expect("read responses");

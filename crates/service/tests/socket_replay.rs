@@ -74,6 +74,22 @@ fn a_trailing_unterminated_line_is_served_like_read_line_would() {
 }
 
 #[test]
+fn a_line_that_is_not_utf8_is_answered_alike_over_stdio_and_tcp() {
+    // Both transports decode a request line lossily, so bytes that are
+    // not UTF-8 make one malformed request, never the end of the session.
+    let requests: &[u8] = b"{\"op\":\"query\"}\n\xff\xfe\n{\"op\":\"query\"}\n";
+    let config = golden_config(1);
+    let (endpoint, server) =
+        start_server(&Endpoint::Tcp("127.0.0.1:0".into()), one_conn(), config, Obs::off());
+    let transcript = replay_over_socket(&endpoint, requests);
+    server.join().expect("server thread").expect("serve");
+    assert_eq!(transcript, stdio_transcript(requests, &config));
+    let lines: Vec<&str> = transcript.lines().collect();
+    assert_eq!(lines.len(), 3, "{transcript}");
+    assert!(lines[1].contains("malformed request"), "{}", lines[1]);
+}
+
+#[test]
 fn conn_telemetry_counts_the_connection_when_a_registry_is_attached() {
     use fpga_rt_service::conn_counters;
     let config = golden_config(1);
